@@ -1,0 +1,141 @@
+"""Reduced surplus over goods and the c-transform operators.
+
+The two-step route to the hybrid problem: collapse z by maximizing,
+    sbar(x, y) = max_z s(x, y, z),
+remember which z attained it, then match buyers to sellers on sbar.  The
+c-transforms build dual-feasible payoff pairs by the same maximization and
+drive the duality arguments.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import ValidationError, _fmt, as_point_array
+
+TIE_TOL = 1e-10
+
+
+class EmptyGrid(ValidationError):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedSurplus:
+    """Dense reduction of s over a Z point set.
+
+    values[i, j]   = max_k s(x_i, y_j, z_k), taken verbatim from the grid scan
+    argmax[i, j]   = smallest k attaining the max
+    tie[i, j]      = another k comes within tie_tol of the max
+    boundary[i, j] = the argmax z sits on the bounding box of the Z set
+    """
+
+    values: np.ndarray
+    argmax: np.ndarray
+    tie: np.ndarray
+    boundary: np.ndarray
+    z_points: np.ndarray
+    tie_tol: float = TIE_TOL
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    @property
+    def any_tie(self) -> bool:
+        return bool(np.any(self.tie))
+
+    @property
+    def any_boundary(self) -> bool:
+        return bool(np.any(self.boundary))
+
+    def selected_z(self, i: int, j: int) -> np.ndarray:
+        return self.z_points[self.argmax[i, j]]
+
+    def to_dict(self) -> dict:
+        return {
+            "values": self.values.tolist(),
+            "argmax": self.argmax.tolist(),
+            "tie": self.tie.astype(int).tolist(),
+            "boundary": self.boundary.astype(int).tolist(),
+            "tie_tol": self.tie_tol,
+        }
+
+
+def _require_points(obj, label: str) -> np.ndarray:
+    pts = as_point_array(obj)
+    if pts.shape[0] == 0:
+        raise EmptyGrid(f"{label} grid is empty")
+    return pts
+
+
+def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
+    """Maximize s over the Z set for every (x, y) pair.
+
+    Ties resolve to the smallest z-index; the tie flag marks pairs where a
+    second index lands within tie_tol of the max.  The boundary flag marks
+    argmaxes on the bounding box of Z, where the discrete first-order
+    condition says nothing.
+    """
+    X = _require_points(xs, "X")
+    Y = _require_points(ys, "Y")
+    Z = _require_points(zs, "Z")
+    grid = s.value_grid(X, Y, Z)
+    best = np.argmax(grid, axis=2)
+    values = np.take_along_axis(grid, best[:, :, None], axis=2)[:, :, 0]
+    near = grid >= (values[:, :, None] - tie_tol)
+    tie = np.sum(near, axis=2) >= 2
+    lo = Z.min(axis=0)
+    hi = Z.max(axis=0)
+    sel = Z[best]
+    on_box = np.any((sel == lo) | (sel == hi), axis=2)
+    return ReducedSurplus(values=values, argmax=best, tie=tie, boundary=on_box,
+                          z_points=Z, tie_tol=tie_tol)
+
+
+def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
+    """Buyer payoffs from seller payoffs: U(x) = max_{y,z} s(x,y,z) - V(y).
+
+    The pair (output, V) is dual-feasible on the grid by construction, with
+    equality where the max is attained.
+    """
+    X = _require_points(xs, "X")
+    Y = _require_points(ys, "Y")
+    Z = _require_points(zs, "Z")
+    V = np.asarray(V, dtype=float).reshape(-1)
+    if V.shape[0] != Y.shape[0]:
+        raise ValidationError(f"V has {V.shape[0]} entries for {Y.shape[0]} y-points")
+    if not np.all(np.isfinite(V)):
+        raise ValidationError("V must be finite")
+    grid = s.value_grid(X, Y, Z)
+    return np.max(grid - V[None, :, None], axis=(1, 2))
+
+
+def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
+    """Seller payoffs from buyer payoffs: V(y) = max_{x,z} s(x,y,z) - U(x)."""
+    X = _require_points(xs, "X")
+    Y = _require_points(ys, "Y")
+    Z = _require_points(zs, "Z")
+    U = np.asarray(U, dtype=float).reshape(-1)
+    if U.shape[0] != X.shape[0]:
+        raise ValidationError(f"U has {U.shape[0]} entries for {X.shape[0]} x-points")
+    if not np.all(np.isfinite(U)):
+        raise ValidationError("U must be finite")
+    grid = s.value_grid(X, Y, Z)
+    return np.max(grid - U[:, None, None], axis=(0, 2))
+
+
+def reduced_to_csv(reduced: ReducedSurplus, path) -> None:
+    """Write rows (i, j, sbar, z_index, tie_flag)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["i", "j", "sbar", "z_index", "tie_flag"])
+        n_x, n_y = reduced.shape
+        for i in range(n_x):
+            for j in range(n_y):
+                writer.writerow([i, j, _fmt(reduced.values[i, j]),
+                                 int(reduced.argmax[i, j]),
+                                 int(reduced.tie[i, j])])
