@@ -5,12 +5,15 @@ to --out (or $HEDONIC_MATCH_OUT, default the working directory) and are
 byte-deterministic for identical inputs.
 
 Exit codes: 0 success, 1 reproduction-check failure, 2 bad input, 3
-infeasible marginals.
+infeasible marginals, 4 a simplex exceeded its pivot budget.
+
+On glibc, main() fixes malloc's mmap threshold for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -42,6 +45,7 @@ from .reduction import reduced_to_csv
 from .repro import EXAMPLE_IDS, format_rows, run_example
 from .serialize import dump_json, load_json, potentials_to_csv
 from .solver import (
+    PivotBudgetExceeded,
     SolverInfeasible,
     brute_force,
     solve_hybrid,
@@ -53,6 +57,26 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
+EXIT_PIVOT_BUDGET = 4
+
+# Blocks of at least this many bytes get a mapping of their own.
+MMAP_THRESHOLD = 1 << 20
+_M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number
+
+
+def _fix_mmap_threshold() -> None:
+    """glibc raises its mmap threshold to the size of each mapped block that
+    is freed, so after the first dense grid is freed every later one comes
+    from the heap, where freed grids stay resident or not depending on how
+    the heap happens to be fragmented (one diagnose of 300 x 300 x 33 grids
+    peaked at 117 MB or 135 MB from run to run).  A fixed threshold gives
+    each large array a mapping that is returned to the system when the array
+    is freed."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return  # no C library with mallopt: nothing to fix
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 def _out_dir(args) -> Path:
@@ -312,12 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SolverInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except PivotBudgetExceeded as exc:
+        print(f"gave up: {exc}", file=sys.stderr)
+        return EXIT_PIVOT_BUDGET
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -17,9 +17,7 @@ from .surplus import (
     MissingUV,
     SingularBlock,
     StrictlyHedonicSurplus,
-    jacobi_eigenvalues,
-    lu_det,
-    lu_inverse,
+    _nonsingular,
     signature,
 )
 
@@ -91,15 +89,15 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     if z_potential is not None and coupling.arity != 3:
         raise SizeMismatch("a good potential needs an arity-3 coupling")
     if coupling.arity == 3:
-        grid = surplus_or_cost.value_grid(coupling.mu.points, coupling.nu.points,
-                                          coupling.z_points)
-        residual = grid - U[:, None, None] - V[None, :, None]
+        residual = surplus_or_cost.value_grid(
+            coupling.mu.points, coupling.nu.points, coupling.z_points) - U[:, None, None]
+        residual -= V[None, :, None]
         if z_potential is not None:
             W = np.asarray(z_potential, dtype=float).reshape(-1)
             if W.size != coupling.z_points.shape[0]:
                 raise SizeMismatch(
                     f"W has {W.size} entries for {coupling.z_points.shape[0]} goods")
-            residual = residual - W[None, None, :]
+            residual -= W[None, None, :]
         worst_flat = int(np.argmax(residual))
         wi, wj, wk = np.unravel_index(worst_flat, residual.shape)
         support_res = residual[coupling.indices[:, 0], coupling.indices[:, 1],
@@ -327,13 +325,13 @@ def check_tss_bilinear(A, B, C, tol: float = EIG_REL_TOL) -> TwistReport:
         return TwistReport(criterion="TSS-bilinear", verdict="inconclusive",
                            details={"reason": f"A is {A.shape}, not square"})
     try:
-        a_inv = lu_inverse(A)
+        a_inv = np.linalg.inv(_nonsingular(A))
     except SingularBlock as exc:
         return TwistReport(criterion="TSS-bilinear", verdict="inconclusive",
                            details={"reason": f"singular A: {exc}"})
     P = C.T @ a_inv @ B
     M = P + P.T
-    eigs = jacobi_eigenvalues(M)
+    eigs = np.linalg.eigvalsh(M)
     threshold = tol * float(np.linalg.norm(M))
     min_eig = float(eigs[0])
     if min_eig > threshold:
@@ -366,13 +364,13 @@ def check_tzss_bilinear(A, B, C, D, tol: float = EIG_REL_TOL) -> TwistReport:
         return TwistReport(criterion="TzSS-bilinear", verdict="fails",
                            witness={"gate": "C", "reason": f"C is {C.shape}, not square"})
     try:
-        ct_inv = lu_inverse(C.T)
+        ct_inv = np.linalg.inv(_nonsingular(C.T))
     except SingularBlock as exc:
         return TwistReport(criterion="TzSS-bilinear", verdict="fails",
                            witness={"gate": "C", "reason": f"singular: {exc}"})
 
     S = D + D.T
-    s_eigs = jacobi_eigenvalues(S)
+    s_eigs = np.linalg.eigvalsh(S)
     s_threshold = tol * float(np.linalg.norm(S))
     max_eig = float(s_eigs[-1])
     if not max_eig < -s_threshold:
@@ -387,16 +385,17 @@ def check_tzss_bilinear(A, B, C, D, tol: float = EIG_REL_TOL) -> TwistReport:
         return TwistReport(criterion="TzSS-bilinear", verdict="fails",
                            witness={"gate": "criterion",
                                     "reason": f"criterion matrix is {K.shape}, not square"})
-    det = lu_det(K)
+    try:
+        det, singular = float(np.linalg.det(_nonsingular(K))), None
+    except SingularBlock as exc:
+        det, singular = 0.0, str(exc)
     criterion_value = float(K[0, 0]) if K.shape == (1, 1) else det
     details = {"criterion_matrix": K.tolist(), "det": det,
                "criterion_value": criterion_value}
-    try:
-        lu_inverse(K)
-    except SingularBlock as exc:
+    if singular is not None:
         return TwistReport(
             criterion="TzSS-bilinear", verdict="fails",
-            witness={"gate": "criterion", "det": det, "reason": str(exc)},
+            witness={"gate": "criterion", "det": det, "reason": singular},
             details=details,
         )
     return TwistReport(criterion="TzSS-bilinear", verdict="holds", details=details)
@@ -481,8 +480,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     V = np.asarray(V, dtype=float).reshape(-1)
     if V.size != Y.shape[0]:
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
-    grid = s.value_grid(X, Y, Z)
-    delta = grid - V[None, :, None]
+    delta = s.value_grid(X, Y, Z) - V[None, :, None]
 
     samples = []
     witness = None
@@ -733,7 +731,7 @@ def support_dimension(coupling: Coupling, radius: float, s=None,
         nbr = pts[d2[p] <= r2]
         centered = nbr - nbr.mean(axis=0)
         cov = centered.T @ centered / nbr.shape[0]
-        eigs = jacobi_eigenvalues(cov)
+        eigs = np.linalg.eigvalsh(cov)
         top = float(eigs[-1])
         if top <= 0.0:
             counts.append(0)

@@ -46,6 +46,10 @@ class InfeasibleMarginals(SolverInfeasible):
     pass
 
 
+class PivotBudgetExceeded(RuntimeError):
+    """A simplex used up its pivot budget before reaching an optimum."""
+
+
 class TooLarge(ValidationError):
     pass
 
@@ -216,7 +220,7 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray,
             break
         iterations += 1
         if iterations > max_iter:
-            raise RuntimeError("transport simplex exceeded its pivot budget")
+            raise PivotBudgetExceeded("transport simplex exceeded its pivot budget")
 
         # unique tree path from row-node entering[0] to col-node entering[1]
         parent: dict[tuple[bool, int], tuple[bool, int]] = {}
@@ -344,7 +348,7 @@ def _simplex_phase(A_ext, b, cost, basis, allowed, enter_tol, ratio_tol,
         basis[leave_row] = enter
         iterations += 1
         if iterations > max_iter:
-            raise RuntimeError("revised simplex exceeded its pivot budget")
+            raise PivotBudgetExceeded("revised simplex exceeded its pivot budget")
 
 
 def _revised_simplex_max(A, b, c, warm_basis=None,

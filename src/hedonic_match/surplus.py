@@ -9,10 +9,16 @@ Families
 - StrictlyHedonic: s = u(x,z) + v(y,z), no direct x-y interaction
 - Tabulated:       dense value grid, finite-difference derivatives
 
+Each family evaluates s in one broadcasting kernel over points of shape
+(..., d); the scalar, row-paired and product-grid evaluators all call it, so
+the three round identically.
+
 The G matrix stacks the mixed Hessian blocks with zero diagonal blocks; its
 eigenvalue signature bounds the dimension of any stable support.  Eigenvalues
-come from a cyclic Jacobi sweep; block inverses from partial-pivot
-elimination, so the numerical thresholds are fully under our control.
+come from numpy.linalg.eigvalsh and count as zero below a threshold relative
+to the largest one.  A block counts as singular when its smallest singular
+value is at most PIVOT_REL_TOL times its largest; numpy.linalg inverts the
+others.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from numpy.polynomial import polynomial as npoly
 from .core import DimensionMismatch, ValidationError, as_point_array
 
 ZERO_EIG_REL = 1e-9
-JACOBI_REL_TOL = 1e-12
 PIVOT_REL_TOL = 1e-10
 
 
@@ -43,7 +48,7 @@ class MissingUV(ValidationError):
 
 
 class SingularBlock(RuntimeError):
-    """A matrix block failed the pivot threshold during elimination."""
+    """A matrix block failed the relative singularity threshold."""
 
 
 # --- polynomial terms ------------------------------------------------------
@@ -70,14 +75,11 @@ def _canon_poly(coeffs, dim: int, label: str) -> list[np.ndarray]:
     return out
 
 
-def _poly_val(polys: list[np.ndarray], point: np.ndarray) -> float:
-    return float(sum(npoly.polyval(point[d], polys[d]) for d in range(len(polys))))
-
-
-def _poly_val_many(polys: list[np.ndarray], pts: np.ndarray) -> np.ndarray:
-    total = np.zeros(pts.shape[0])
-    for d in range(len(polys)):
-        total = total + npoly.polyval(pts[:, d], polys[d])
+def _poly_val(polys: list[np.ndarray], pts: np.ndarray):
+    """Σ_d polys[d](pts[..., d]) over points of shape (..., d)."""
+    total = 0.0
+    for d, c in enumerate(polys):
+        total = total + npoly.polyval(pts[..., d], c)
     return total
 
 
@@ -95,10 +97,35 @@ def _polys_to_jsonable(polys: list[np.ndarray]):
     return lists
 
 
+def _pair(P: np.ndarray, M: np.ndarray, Q: np.ndarray):
+    """pᵀMq over points of shape (..., d), as Σ_e (Σ_d p_d M_de) q_e summed
+    in index order.  Only elementwise operations, so every leading shape
+    rounds the same way."""
+    total = None
+    for e in range(M.shape[1]):
+        pm = P[..., 0] * M[0, e]
+        for d in range(1, M.shape[0]):
+            pm = pm + P[..., d] * M[d, e]
+        total = pm * Q[..., e] if total is None else total + pm * Q[..., e]
+    return total
+
+
+def _snap(nodes: np.ndarray, q, label: str) -> np.ndarray:
+    """Index of the node each query sits on (snap tolerance 1e-8 relative to
+    the node span); OutOfGrid when any query is off the nodes."""
+    q = np.asarray(q, dtype=float)
+    idx = np.argmin(np.abs(nodes - q[..., None]), axis=-1)
+    span = float(nodes[-1] - nodes[0]) if nodes.size > 1 else 1.0
+    off = ~(np.abs(nodes[idx] - q) <= 1e-8 * (1.0 + abs(span)))
+    if np.any(off):
+        raise OutOfGrid(f"{label} = {q[off].flat[0]} is not a grid node")
+    return idx
+
+
 # --- base model ------------------------------------------------------------
 
 class SurplusModel:
-    """Base class; subclasses provide value() and analytic derivatives."""
+    """Base class; subclasses provide _kernel() and analytic derivatives."""
 
     family = "custom"
     has_uv = False
@@ -125,8 +152,14 @@ class SurplusModel:
             )
         return arr
 
-    def value(self, x, y, z) -> float:
+    def _kernel(self, X, Y, Z) -> np.ndarray:
+        """s at points of shape (..., d) on each axis, broadcast over the
+        leading axes."""
         raise NotImplementedError
+
+    def value(self, x, y, z) -> float:
+        return float(self._kernel(self._canon(x, "x"), self._canon(y, "y"),
+                                  self._canon(z, "z")))
 
     def grad_x(self, x, y, z) -> np.ndarray:
         raise NotImplementedError
@@ -142,25 +175,20 @@ class SurplusModel:
         raise NotImplementedError
 
     def value_batch(self, xs, ys, zs) -> np.ndarray:
-        """Row-paired evaluation; default loops, subclasses vectorize."""
+        """Row-paired evaluation s(xs[i], ys[i], zs[i])."""
         X = self._canon_grid(xs, "x")
         Y = self._canon_grid(ys, "y")
         Z = self._canon_grid(zs, "z")
         if not X.shape[0] == Y.shape[0] == Z.shape[0]:
             raise DimensionMismatch("value_batch needs equal-length point lists")
-        return np.array([self.value(X[i], Y[i], Z[i]) for i in range(X.shape[0])])
+        return self._kernel(X, Y, Z)
 
     def value_grid(self, xs, ys, zs) -> np.ndarray:
         """Dense (n_x, n_y, n_z) evaluation over a product grid."""
         X = self._canon_grid(xs, "x")
         Y = self._canon_grid(ys, "y")
         Z = self._canon_grid(zs, "z")
-        out = np.empty((X.shape[0], Y.shape[0], Z.shape[0]))
-        for i in range(X.shape[0]):
-            for j in range(Y.shape[0]):
-                for k in range(Z.shape[0]):
-                    out[i, j, k] = self.value(X[i], Y[j], Z[k])
-        return out
+        return self._kernel(X[:, None, None], Y[None, :, None], Z[None, None, :])
 
     def value_u(self, x, y, z) -> float:
         raise MissingUV(f"{self.family} model has no separate buyer utility")
@@ -207,12 +235,11 @@ class BilinearSurplus(SurplusModel):
     def dims(self):
         return self._dims
 
-    def value(self, x, y, z) -> float:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return float(x @ self.A @ y + x @ self.B @ z + y @ self.C @ z
-                     + z @ self.D @ z
-                     + _poly_val(self.f, x) + _poly_val(self.g, y)
-                     + _poly_val(self.h, z))
+    def _kernel(self, X, Y, Z):
+        return (_pair(X, self.A, Y) + _pair(X, self.B, Z) + _pair(Y, self.C, Z)
+                + _pair(Z, self.D, Z)
+                + _poly_val(self.f, X) + _poly_val(self.g, Y)
+                + _poly_val(self.h, Z))
 
     def grad_x(self, x, y, z) -> np.ndarray:
         x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
@@ -229,30 +256,6 @@ class BilinearSurplus(SurplusModel):
 
     def hessian_blocks(self, x, y, z):
         return self.A.copy(), self.B.copy(), self.C.copy()
-
-    def value_batch(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x"); Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        return (np.einsum("nd,de,ne->n", X, self.A, Y)
-                + np.einsum("nd,de,ne->n", X, self.B, Z)
-                + np.einsum("nd,de,ne->n", Y, self.C, Z)
-                + np.einsum("nd,de,ne->n", Z, self.D, Z)
-                + _poly_val_many(self.f, X) + _poly_val_many(self.g, Y)
-                + _poly_val_many(self.h, Z))
-
-    def value_grid(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x"); Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        xy = X @ self.A @ Y.T
-        xz = X @ self.B @ Z.T
-        yz = Y @ self.C @ Z.T
-        dz = np.einsum("kd,de,ke->k", Z, self.D, Z)
-        fx = _poly_val_many(self.f, X)
-        gy = _poly_val_many(self.g, Y)
-        hz = _poly_val_many(self.h, Z)
-        return (xy[:, :, None] + xz[:, None, :] + yz[None, :, :]
-                + dz[None, None, :] + fx[:, None, None] + gy[None, :, None]
-                + hz[None, None, :])
 
     def to_dict(self) -> dict:
         out = {
@@ -286,9 +289,8 @@ class CounterexampleSurplus(SurplusModel):
     def dims(self):
         return (1, 1, 1)
 
-    def value(self, x, y, z) -> float:
-        x = self._canon(x, "x")[0]; y = self._canon(y, "y")[0]
-        z = self._canon(z, "z")[0]
+    def _kernel(self, X, Y, Z):
+        x, y, z = X[..., 0], Y[..., 0], Z[..., 0]
         return x * y + x * z - y * z - self.a * z * z
 
     def value_u(self, x, y, z) -> float:
@@ -325,19 +327,6 @@ class CounterexampleSurplus(SurplusModel):
         return (np.array([[1.0]]), np.array([[1.0]]),
                 np.array([[-1.0]]), np.array([[-self.a]]))
 
-    def value_batch(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x")[:, 0]; Y = self._canon_grid(ys, "y")[:, 0]
-        Z = self._canon_grid(zs, "z")[:, 0]
-        return X * Y + X * Z - Y * Z - self.a * Z * Z
-
-    def value_grid(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x")[:, 0]; Y = self._canon_grid(ys, "y")[:, 0]
-        Z = self._canon_grid(zs, "z")[:, 0]
-        return (X[:, None, None] * Y[None, :, None]
-                + X[:, None, None] * Z[None, None, :]
-                - Y[None, :, None] * Z[None, None, :]
-                - (self.a * Z * Z)[None, None, :])
-
     def to_dict(self) -> dict:
         return {"family": self.family, "a": self.a}
 
@@ -358,13 +347,14 @@ class ExpCosSurplus(SurplusModel):
     def dims(self):
         return (2, 2, 2)
 
-    def value(self, x, y, z) -> float:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return float(np.exp(x[0] + y[0]) * np.cos(x[1] - y[1])
-                     + np.exp(x[0] + z[0]) * np.cos(x[1] - z[1])
-                     + np.exp(y[0] + z[0]) * np.cos(z[1] - y[1])
-                     - np.exp(2.0 * x[0]) - np.exp(2.0 * y[0])
-                     - np.exp(2.0 * z[0]))
+    def _kernel(self, X, Y, Z):
+        x1, x2 = X[..., 0], X[..., 1]
+        y1, y2 = Y[..., 0], Y[..., 1]
+        z1, z2 = Z[..., 0], Z[..., 1]
+        return (np.exp(x1 + y1) * np.cos(x2 - y2)
+                + np.exp(x1 + z1) * np.cos(x2 - z2)
+                + np.exp(y1 + z1) * np.cos(z2 - y2)
+                - np.exp(2.0 * x1) - np.exp(2.0 * y1) - np.exp(2.0 * z1))
 
     def grad_x(self, x, y, z) -> np.ndarray:
         x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
@@ -408,17 +398,6 @@ class ExpCosSurplus(SurplusModel):
         syz = eyz * np.array([[c, -s], [s, c]])
         return sxy, sxz, syz
 
-    def value_grid(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x"); Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        x1 = X[:, 0][:, None, None]; x2 = X[:, 1][:, None, None]
-        y1 = Y[:, 0][None, :, None]; y2 = Y[:, 1][None, :, None]
-        z1 = Z[:, 0][None, None, :]; z2 = Z[:, 1][None, None, :]
-        return (np.exp(x1 + y1) * np.cos(x2 - y2)
-                + np.exp(x1 + z1) * np.cos(x2 - z2)
-                + np.exp(y1 + z1) * np.cos(z2 - y2)
-                - np.exp(2.0 * x1) - np.exp(2.0 * y1) - np.exp(2.0 * z1))
-
     def to_dict(self) -> dict:
         return {"family": self.family}
 
@@ -450,12 +429,10 @@ class Supermodular1DSurplus(SurplusModel):
             out = out * base
         return out
 
-    def value(self, x, y, z) -> float:
-        x = self._canon(x, "x")[0]; y = self._canon(y, "y")[0]
-        z = self._canon(z, "z")[0]
+    def _kernel(self, X, Y, Z):
         p, q, r = self.exponents
-        return float(self.scale * self._pow(x, p) * self._pow(y, q)
-                     * self._pow(z, r))
+        return (self.scale * self._pow(X[..., 0], p) * self._pow(Y[..., 0], q)
+                * self._pow(Z[..., 0], r))
 
     def _partial(self, vals, wrt) -> float:
         x, y, z = vals
@@ -502,20 +479,6 @@ class Supermodular1DSurplus(SurplusModel):
                 np.array([[self._cross(vals, 0, 2)]]),
                 np.array([[self._cross(vals, 1, 2)]]))
 
-    def value_batch(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x")[:, 0]; Y = self._canon_grid(ys, "y")[:, 0]
-        Z = self._canon_grid(zs, "z")[:, 0]
-        p, q, r = self.exponents
-        return self.scale * self._pow(X, p) * self._pow(Y, q) * self._pow(Z, r)
-
-    def value_grid(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x")[:, 0]; Y = self._canon_grid(ys, "y")[:, 0]
-        Z = self._canon_grid(zs, "z")[:, 0]
-        p, q, r = self.exponents
-        return (self.scale * self._pow(X, p)[:, None, None]
-                * self._pow(Y, q)[None, :, None]
-                * self._pow(Z, r)[None, None, :])
-
     def to_dict(self) -> dict:
         return {"family": self.family, "exponents": list(self.exponents),
                 "scale": self.scale}
@@ -523,7 +486,16 @@ class Supermodular1DSurplus(SurplusModel):
 
 # --- strictly hedonic components -------------------------------------------
 
-class BilinearComponent:
+class _Component:
+    """One side w(p, z) of a hedonic surplus; subclasses provide _kernel()
+    over points of shape (..., d) and the derivatives."""
+
+    def value(self, p, z) -> float:
+        return float(self._kernel(np.atleast_1d(np.asarray(p, dtype=float)),
+                                  np.atleast_1d(np.asarray(z, dtype=float))))
+
+
+class BilinearComponent(_Component):
     """One side of a hedonic surplus: w(p, z) = pᵀMz + zᵀDz z + f(p) + h(z)."""
 
     kind = "bilinear"
@@ -542,9 +514,9 @@ class BilinearComponent:
     def dims(self) -> tuple[int, int]:
         return self.M.shape
 
-    def value(self, p, z) -> float:
-        return float(p @ self.M @ z + z @ self.Dz @ z
-                     + _poly_val(self.f, p) + _poly_val(self.h, z))
+    def _kernel(self, P, Z):
+        return (_pair(P, self.M, Z) + _pair(Z, self.Dz, Z)
+                + _poly_val(self.f, P) + _poly_val(self.h, Z))
 
     def grad_p(self, p, z) -> np.ndarray:
         return self.M @ z + _poly_grad(self.f, p)
@@ -555,13 +527,6 @@ class BilinearComponent:
     def hess_pz(self, p, z) -> np.ndarray:
         return self.M.copy()
 
-    def value_grid(self, P, Z) -> np.ndarray:
-        pz = P @ self.M @ Z.T
-        dz = np.einsum("kd,de,ke->k", Z, self.Dz, Z)
-        fp = _poly_val_many(self.f, P)
-        hz = _poly_val_many(self.h, Z)
-        return pz + dz[None, :] + fp[:, None] + hz[None, :]
-
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "M": self.M.tolist(), "Dz": self.Dz.tolist()}
         for key, polys in (("f", self.f), ("h", self.h)):
@@ -571,7 +536,7 @@ class BilinearComponent:
         return out
 
 
-class TabulatedComponent:
+class TabulatedComponent(_Component):
     """One side of a hedonic surplus tabulated on 1-D node grids.
 
     Evaluation snaps to nodes (no extrapolation); derivatives are central
@@ -600,37 +565,21 @@ class TabulatedComponent:
     def dims(self) -> tuple[int, int]:
         return (1, 1)
 
-    def _idx(self, nodes: np.ndarray, q: float, lab: str) -> int:
-        i = int(np.argmin(np.abs(nodes - q)))
-        span = float(nodes[-1] - nodes[0]) if nodes.size > 1 else 1.0
-        if abs(nodes[i] - q) > 1e-8 * (1.0 + abs(span)):
-            raise OutOfGrid(f"{lab} = {q} is not a table node")
-        return i
+    def _at(self, P, Z):
+        return (_snap(self.p_nodes, np.atleast_1d(P)[..., 0], "p"),
+                _snap(self.z_nodes, np.atleast_1d(Z)[..., 0], "z"))
 
-    def _at(self, p, z) -> tuple[int, int]:
-        return (self._idx(self.p_nodes, float(np.ravel(p)[0]), "p"),
-                self._idx(self.z_nodes, float(np.ravel(z)[0]), "z"))
-
-    def value(self, p, z) -> float:
-        i, k = self._at(p, z)
-        return float(self.values[i, k])
+    def _kernel(self, P, Z):
+        return self.values[self._at(P, Z)]
 
     def grad_p(self, p, z) -> np.ndarray:
-        i, k = self._at(p, z)
-        return np.array([self._dp[i, k]])
+        return np.array([self._dp[self._at(p, z)]])
 
     def grad_z(self, p, z) -> np.ndarray:
-        i, k = self._at(p, z)
-        return np.array([self._dz[i, k]])
+        return np.array([self._dz[self._at(p, z)]])
 
     def hess_pz(self, p, z) -> np.ndarray:
-        i, k = self._at(p, z)
-        return np.array([[self._dpz[i, k]]])
-
-    def value_grid(self, P, Z) -> np.ndarray:
-        rows = [self._idx(self.p_nodes, float(p[0]), "p") for p in P]
-        cols = [self._idx(self.z_nodes, float(z[0]), "z") for z in Z]
-        return self.values[np.ix_(rows, cols)]
+        return np.array([[self._dpz[self._at(p, z)]]])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "values": self.values.tolist(),
@@ -673,17 +622,14 @@ class StrictlyHedonicSurplus(SurplusModel):
     def dims(self):
         return self._dims
 
-    def value(self, x, y, z) -> float:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return float(self.u.value(x, z) + self.v.value(y, z))
+    def _kernel(self, X, Y, Z):
+        return self.u._kernel(X, Z) + self.v._kernel(Y, Z)
 
     def value_u(self, x, y, z) -> float:
-        x = self._canon(x, "x"); z = self._canon(z, "z")
-        return float(self.u.value(x, z))
+        return self.u.value(self._canon(x, "x"), self._canon(z, "z"))
 
     def value_v(self, x, y, z) -> float:
-        y = self._canon(y, "y"); z = self._canon(z, "z")
-        return float(self.v.value(y, z))
+        return self.v.value(self._canon(y, "y"), self._canon(z, "z"))
 
     def grad_x(self, x, y, z) -> np.ndarray:
         x = self._canon(x, "x"); z = self._canon(z, "z")
@@ -705,13 +651,6 @@ class StrictlyHedonicSurplus(SurplusModel):
         x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
         dx, dy, _ = self.dims
         return (np.zeros((dx, dy)), self.u.hess_pz(x, z), self.v.hess_pz(y, z))
-
-    def value_grid(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x"); Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        ug = self.u.value_grid(X, Z)
-        vg = self.v.value_grid(Y, Z)
-        return ug[:, None, :] + vg[None, :, :]
 
     def to_dict(self) -> dict:
         return {"family": self.family, "u": self.u.to_dict(),
@@ -748,48 +687,32 @@ class TabulatedSurplus(SurplusModel):
     def dims(self):
         return (1, 1, 1)
 
-    def _index(self, nodes: np.ndarray, q, lab: str) -> int:
-        val = float(np.ravel(q)[0])
-        i = int(np.argmin(np.abs(nodes - val)))
-        span = float(nodes[-1] - nodes[0]) if nodes.size > 1 else 1.0
-        if abs(nodes[i] - val) > 1e-8 * (1.0 + abs(span)):
-            raise OutOfGrid(f"{lab} = {val} is not a grid node")
-        return i
+    def _ijk(self, X, Y, Z):
+        return (_snap(self.x_nodes, X[..., 0], "x"),
+                _snap(self.y_nodes, Y[..., 0], "y"),
+                _snap(self.z_nodes, Z[..., 0], "z"))
 
-    def _ijk(self, x, y, z) -> tuple[int, int, int]:
-        return (self._index(self.x_nodes, self._canon(x, "x"), "x"),
-                self._index(self.y_nodes, self._canon(y, "y"), "y"),
-                self._index(self.z_nodes, self._canon(z, "z"), "z"))
+    def _kernel(self, X, Y, Z):
+        return self.values[self._ijk(X, Y, Z)]
 
-    def value(self, x, y, z) -> float:
-        i, j, k = self._ijk(x, y, z)
-        return float(self.values[i, j, k])
+    def _at(self, x, y, z):
+        return self._ijk(self._canon(x, "x"), self._canon(y, "y"),
+                         self._canon(z, "z"))
 
     def grad_x(self, x, y, z) -> np.ndarray:
-        i, j, k = self._ijk(x, y, z)
-        return np.array([self._gx[i, j, k]])
+        return np.array([self._gx[self._at(x, y, z)]])
 
     def grad_y(self, x, y, z) -> np.ndarray:
-        i, j, k = self._ijk(x, y, z)
-        return np.array([self._gy[i, j, k]])
+        return np.array([self._gy[self._at(x, y, z)]])
 
     def grad_z(self, x, y, z) -> np.ndarray:
-        i, j, k = self._ijk(x, y, z)
-        return np.array([self._gz[i, j, k]])
+        return np.array([self._gz[self._at(x, y, z)]])
 
     def hessian_blocks(self, x, y, z):
-        i, j, k = self._ijk(x, y, z)
-        return (np.array([[self._gxy[i, j, k]]]),
-                np.array([[self._gxz[i, j, k]]]),
-                np.array([[self._gyz[i, j, k]]]))
-
-    def value_grid(self, xs, ys, zs) -> np.ndarray:
-        X = self._canon_grid(xs, "x"); Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        rows = [self._index(self.x_nodes, x, "x") for x in X]
-        cols = [self._index(self.y_nodes, y, "y") for y in Y]
-        deps = [self._index(self.z_nodes, z, "z") for z in Z]
-        return self.values[np.ix_(rows, cols, deps)]
+        ijk = self._at(x, y, z)
+        return (np.array([[self._gxy[ijk]]]),
+                np.array([[self._gxz[ijk]]]),
+                np.array([[self._gyz[ijk]]]))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "values": self.values.tolist(),
@@ -863,133 +786,31 @@ def assemble_G(blocks) -> np.ndarray:
     return G
 
 
-def jacobi_eigenvalues(sym, rel_tol: float = JACOBI_REL_TOL,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted
-    ascending.  Converges when the off-diagonal Frobenius norm drops below
-    rel_tol · ‖input‖_F.
-    """
-    a = np.atleast_2d(np.asarray(sym, dtype=float)).copy()
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"matrix must be square, got {a.shape}")
-    scale = float(np.linalg.norm(a))
-    if not np.allclose(a, a.T, atol=1e-12 * (1.0 + scale)):
-        raise ShapeMismatch("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    if n == 1 or scale == 0.0:
-        return np.sort(np.diag(a).copy())
-    target = rel_tol * scale
-
-    def off(m):
-        od = m - np.diag(np.diag(m))
-        return float(np.linalg.norm(od))
-
-    for _ in range(max_sweeps):
-        if off(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-200 * abs(diff):
-                    # rotation angle below float resolution: snap the entry
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                theta = diff / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi sweep did not converge")
-    return np.sort(np.diag(a).copy())
-
-
 def classify_eigenvalues(eigs: np.ndarray,
                          rel: float = ZERO_EIG_REL) -> tuple[int, int, int, float]:
     """Count (positive, negative, zero) eigenvalues with the relative
-    threshold rel · (max|λ| + 1); returns the threshold too.
+    threshold rel · max|λ|; returns the threshold too.
     """
     eigs = np.asarray(eigs, dtype=float)
     largest = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    thr = rel * (largest + 1.0)
+    thr = rel * largest
     n_zero = int(np.sum(np.abs(eigs) <= thr))
     n_pos = int(np.sum(eigs > thr))
     n_neg = int(eigs.size - n_zero - n_pos)
     return n_pos, n_neg, n_zero, thr
 
 
-def lu_inverse(mat, rel_pivot_tol: float = PIVOT_REL_TOL) -> np.ndarray:
-    """Invert via Gauss-Jordan elimination with partial pivoting.
-
-    Raises SingularBlock when any pivot falls below rel_pivot_tol · ‖mat‖_F.
-    """
+def _nonsingular(mat) -> np.ndarray:
+    """mat as a float array; SingularBlock when its smallest singular value
+    is at most PIVOT_REL_TOL times its largest (the zero matrix included)."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"matrix must be square, got {a.shape}")
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        raise SingularBlock("zero matrix")
-    aug = np.hstack([a.astype(float), np.eye(n)])
-    for col in range(n):
-        piv_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        piv = aug[piv_row, col]
-        if abs(piv) < rel_pivot_tol * scale:
-            raise SingularBlock(
-                f"pivot {piv:.3e} below {rel_pivot_tol:.1e}·‖block‖ = "
-                f"{rel_pivot_tol * scale:.3e}"
-            )
-        if piv_row != col:
-            aug[[col, piv_row]] = aug[[piv_row, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for r in range(n):
-            if r != col and aug[r, col] != 0.0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, n:]
-
-
-def lu_det(mat, rel_pivot_tol: float = PIVOT_REL_TOL) -> float:
-    """Determinant via partial-pivot elimination; 0.0 when a pivot falls
-    below the relative threshold (the block counts as singular).
-    """
-    a = np.atleast_2d(np.asarray(mat, dtype=float)).copy()
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"matrix must be square, got {a.shape}")
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return 0.0
-    det = 1.0
-    for col in range(n):
-        piv_row = col + int(np.argmax(np.abs(a[col:, col])))
-        piv = a[piv_row, col]
-        if abs(piv) < rel_pivot_tol * scale:
-            return 0.0
-        if piv_row != col:
-            a[[col, piv_row]] = a[[piv_row, col]]
-            det = -det
-        det *= a[col, col]
-        for r in range(col + 1, n):
-            if a[r, col] != 0.0:
-                a[r, col:] = a[r, col:] - (a[r, col] / a[col, col]) * a[col, col:]
-    return float(det)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= PIVOT_REL_TOL * sv[0]:
+        raise SingularBlock(
+            f"smallest singular value {sv[-1]:.3e} at most "
+            f"{PIVOT_REL_TOL:.1e}·‖block‖₂ = {PIVOT_REL_TOL * sv[0]:.3e}"
+        )
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -1059,7 +880,7 @@ def signature(s: SurplusModel, x, y, z, cross_check: bool = True) -> SignatureRe
     xv = s._canon(x, "x"); yv = s._canon(y, "y"); zv = s._canon(z, "z")
     blocks = s.hessian_blocks(xv, yv, zv)
     G = assemble_G(blocks)
-    eigs = jacobi_eigenvalues(G)
+    eigs = np.linalg.eigvalsh(G)
     n_pos, n_neg, n_zero, thr = classify_eigenvalues(eigs)
     nx, ny, nz = s.dims
     bound = nx + ny + nz - n_neg
@@ -1072,15 +893,15 @@ def signature(s: SurplusModel, x, y, z, cross_check: bool = True) -> SignatureRe
     else:
         A, B, C = blocks
         try:
-            a_inv = lu_inverse(A)
+            a_inv = np.linalg.inv(_nonsingular(A))
             for blk in (B, C):
-                lu_inverse(blk)
+                _nonsingular(blk)
         except SingularBlock as exc:
             skipped = f"singular block: {exc}"
         else:
             P = C.T @ a_inv @ B
             M = P + P.T
-            m_eigs = jacobi_eigenvalues(M)
+            m_eigs = np.linalg.eigvalsh(M)
             r_pos, r_neg, r_zero, _ = classify_eigenvalues(m_eigs)
             consistent = (n_pos == nx + r_neg and n_neg == nx + r_pos
                           and n_zero == r_zero)

@@ -1,12 +1,16 @@
 import json
+import platform
+import sys
 
 import numpy as np
 import pytest
 
+from hedonic_match import cli
 from hedonic_match.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    EXIT_PIVOT_BUDGET,
     main,
 )
 from hedonic_match.core import (
@@ -23,6 +27,7 @@ from hedonic_match.serialize import (
     load_json,
     potentials_from_csv,
 )
+from hedonic_match.solver import PivotBudgetExceeded
 from hedonic_match.surplus import BilinearSurplus, surplus_from_dict
 
 ARTIFACTS = ("solve_result.json", "coupling.json", "potentials.csv")
@@ -219,3 +224,35 @@ def test_measure_csv_round_trip_through_cli_formats(tmp_path):
     back = measure_from_csv(tmp_path / "m.csv")
     np.testing.assert_array_equal(back.points, m.points)
     np.testing.assert_array_equal(back.weights, m.weights)
+
+
+def test_pivot_budget_is_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    def give_up(*args, **kwargs):
+        raise PivotBudgetExceeded("transport simplex exceeded its pivot budget")
+
+    monkeypatch.setattr(cli, "solve_hybrid", give_up)
+    code = main(["solve", "--random-instance", "1", "--out", str(tmp_path)])
+    assert code == EXIT_PIVOT_BUDGET
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "pivot budget" in err
+
+
+def _mapping_of(address: int) -> str:
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            lo, hi = (int(a, 16) for a in line.split()[0].split("-"))
+            if lo <= address < hi:
+                return line
+    raise AssertionError(f"{address:#x} is in no mapping")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_main_keeps_large_arrays_off_the_heap(tmp_path):
+    main(["solve", "--random-instance", "1", "--out", str(tmp_path)])
+    # Freeing a 25 MiB mapping would lift glibc's dynamic threshold above
+    # the next array, which then came from the heap.
+    np.ones(25 << 17)
+    grid = np.ones(3 << 20)
+    assert "[heap]" not in _mapping_of(grid.ctypes.data)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hedonic_match.diagnostics import check_tss_bilinear, check_tzss_bilinear
 from hedonic_match.surplus import (
     BilinearComponent,
     BilinearSurplus,
@@ -9,16 +10,12 @@ from hedonic_match.surplus import (
     MissingUV,
     OutOfGrid,
     ShapeMismatch,
-    SingularBlock,
     StrictlyHedonicSurplus,
     Supermodular1DSurplus,
     TabulatedComponent,
     TabulatedSurplus,
     assemble_G,
     classify_eigenvalues,
-    jacobi_eigenvalues,
-    lu_det,
-    lu_inverse,
     signature,
     surplus_from_dict,
 )
@@ -34,7 +31,25 @@ def _families():
         ExpCosSurplus(),
         StrictlyHedonicSurplus(BilinearComponent([[1.0]], Dz=[[-1.0]]),
                                BilinearComponent([[0.8]], h=[0.0, 0.2])),
+        BilinearSurplus(A=[[0.7, -0.2], [0.3, 1.1]], B=[[-0.3, 0.4], [0.9, 0.1]],
+                        C=[[1.1, -0.6], [0.2, 0.5]], D=[[-0.4, 0.3], [-0.1, -0.8]],
+                        f=[[0.0, 0.5, -0.3], [0.2, 0.1]], g=[[0.0, -0.2], [0.1]],
+                        h=[[0.1, 0.3], [0.0, 0.0, 0.7]]),
+        TabulatedSurplus(np.random.default_rng(0).normal(size=(4, 3, 5)),
+                         [0.0, 0.3, 0.7, 1.0], [0.0, 0.5, 1.0],
+                         [0.0, 0.2, 0.4, 0.6, 0.8]),
+        StrictlyHedonicSurplus(
+            BilinearComponent([[1.0, 0.4], [-0.3, 0.6]], Dz=[[-1.0, 0.2], [0.1, -0.5]],
+                              f=[[0.0, 0.3], [0.1, -0.2]]),
+            BilinearComponent([[0.8, -0.1], [0.5, 0.9]], h=[[0.0, 0.2], [0.4, 0.0, 0.3]])),
     ]
+
+
+def _draw(rng, s, n, axis):
+    """n random points on one axis: table nodes for a tabulated model."""
+    if isinstance(s, TabulatedSurplus):
+        return rng.choice(getattr(s, f"{axis}_nodes"), (n, 1))
+    return rng.uniform(0.1, 1.0, (n, s.dims["xyz".index(axis)]))
 
 
 def test_counterexample_value():
@@ -47,10 +62,7 @@ def test_value_batch_and_grid_match_scalar_exactly():
     # vectorized paths to round identically to the scalar path
     rng = np.random.default_rng(3)
     for s in _families():
-        dx, dy, dz = s.dims
-        X = rng.uniform(0.1, 1.0, (4, dx))
-        Y = rng.uniform(0.1, 1.0, (3, dy))
-        Z = rng.uniform(0.1, 1.0, (5, dz))
+        X, Y, Z = _draw(rng, s, 4, "x"), _draw(rng, s, 3, "y"), _draw(rng, s, 5, "z")
         grid = s.value_grid(X, Y, Z)
         assert grid.shape == (4, 3, 5)
         for i in range(4):
@@ -74,6 +86,8 @@ def _fd_grad(fn, p, h=1e-5):
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     for s in _families():
+        if isinstance(s, TabulatedSurplus):
+            continue  # defined on table nodes only
         dx, dy, dz = s.dims
         for _ in range(25):
             x = rng.uniform(0.2, 0.9, dx)
@@ -94,6 +108,8 @@ def test_hessian_blocks_match_finite_differences():
     rng = np.random.default_rng(7)
     h = 1e-5
     for s in _families():
+        if isinstance(s, TabulatedSurplus):
+            continue  # defined on table nodes only
         dx, dy, dz = s.dims
         x = rng.uniform(0.3, 0.8, dx)
         y = rng.uniform(0.3, 0.8, dy)
@@ -175,6 +191,8 @@ def test_tabulated_surplus_snaps_and_rejects():
     assert s.value([0.5], [1.0], [0.0]) == vals[1, 2, 0]
     with pytest.raises(OutOfGrid):
         s.value([0.21], [0.0], [0.0])
+    with pytest.raises(OutOfGrid):
+        s.value([np.nan], [0.0], [0.0])
 
 
 def test_tabulated_component_gradients_on_linear_table():
@@ -199,56 +217,27 @@ def test_assemble_G_layout():
     np.testing.assert_array_equal(G, expected)
 
 
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(1, 8))
-        m = rng.normal(size=(n, n))
-        sym = m + m.T
-        mine = jacobi_eigenvalues(sym)
-        ref = np.linalg.eigvalsh(sym)
-        np.testing.assert_allclose(mine, ref, atol=1e-10 * (1 + np.abs(ref).max()))
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ShapeMismatch):
-        jacobi_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_jacobi_handles_tiny_off_diagonal():
-    m = np.diag([1.0, 2.0, 3.0])
-    m[0, 1] = m[1, 0] = 1e-320
-    np.testing.assert_allclose(jacobi_eigenvalues(m), [1.0, 2.0, 3.0])
-
-
 def test_classify_eigenvalues_thresholds():
     n_pos, n_neg, n_zero, thr = classify_eigenvalues([2.0, -1.0, 0.0])
     assert (n_pos, n_neg, n_zero) == (1, 1, 1)
-    assert thr == pytest.approx(1e-9 * 3.0)
+    assert thr == pytest.approx(1e-9 * 2.0)
     # everything under the relative threshold counts as zero
     n_pos, n_neg, n_zero, _ = classify_eigenvalues([1.0, 1e-12, -1e-12])
     assert (n_pos, n_neg, n_zero) == (1, 0, 2)
 
 
-def test_lu_inverse_matches_numpy():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        n = int(rng.integers(1, 6))
-        m = rng.normal(size=(n, n)) + n * np.eye(n)
-        np.testing.assert_allclose(lu_inverse(m), np.linalg.inv(m),
-                                   atol=1e-10)
-        assert lu_det(m) == pytest.approx(np.linalg.det(m), rel=1e-9)
-
-
-def test_lu_inverse_singular():
-    with pytest.raises(SingularBlock):
-        lu_inverse([[1.0, 2.0], [2.0, 4.0]])
-    assert lu_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
-
-
-def test_lu_inverse_exact_on_negated_identity():
-    # the TzSS criterion chain needs (C^T)^{-1} = [[-1]] with no rounding
-    np.testing.assert_array_equal(lu_inverse([[-1.0]]), [[-1.0]])
+def test_rank_deficient_block_is_singular():
+    # singular at every scale; a tiny but well-conditioned block is not
+    rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for scale in (1e-12, 1.0, 1e12):
+        tss = check_tss_bilinear(scale * rank_one, np.eye(2), np.eye(2))
+        assert tss.verdict == "inconclusive"
+        assert "singular" in tss.details["reason"]
+        tzss = check_tzss_bilinear(np.eye(2), np.eye(2), scale * rank_one,
+                                   -np.eye(2))
+        assert (tzss.verdict, tzss.witness["gate"]) == ("fails", "C")
+    assert check_tss_bilinear(1e-12 * np.eye(2), np.eye(2),
+                              np.eye(2)).verdict == "holds"
 
 
 # --- signature reports ------------------------------------------------------
@@ -280,6 +269,17 @@ def test_signature_expcos_everywhere():
         assert rep.signature == (2, 4, 0)
         assert rep.dimension_bound == 2
         assert rep.cross_check.consistent
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+def test_signature_and_twist_verdicts_are_scale_free(scale):
+    s = BilinearSurplus([[scale]], [[scale]], [[-scale]], D=[[-0.75 * scale]])
+    rep = signature(s, [0.5], [0.5], [0.5])
+    assert rep.signature == (2, 1, 0)
+    assert rep.dimension_bound == 2
+    # C^T A^-1 B + B^T A^-T C = -2 scale; K = B - A (C^T)^-1 (D + D^T) = -scale/2
+    assert check_tss_bilinear(s.A, s.B, s.C).verdict == "fails"
+    assert check_tzss_bilinear(s.A, s.B, s.C, s.D).verdict == "holds"
 
 
 def test_signature_skips_cross_check_on_singular_block():
