@@ -3,11 +3,12 @@
 Two engines, kept deliberately separate so the dual-route acceptance checks
 compare genuinely different code paths:
 
-- a primal transportation simplex on the bipartite polytope (northwest-corner
-  start, spanning-tree duals, Bland's entering rule), used by the
-  reduce-then-lift route;
-- a dense two-phase revised simplex over the explicit constraint matrix,
-  used by the direct three-index LPs.
+- a primal network simplex on the bipartite transportation polytope
+  (northwest-corner start, largest-reduced-cost entering cell, Cunningham's
+  strongly feasible leaving rule, potentials updated on the re-hung subtree
+  only), used by the reduce-then-lift route;
+- a dense two-phase revised simplex with Bland's rule over the explicit
+  constraint matrix, used by the direct three-index LPs.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
 support-based diagnostics stay meaningful.
@@ -16,6 +17,7 @@ support-based diagnostics stay meaningful.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,8 @@ from .core import (
 )
 from .reduction import ReducedSurplus, reduce
 
+# The transport simplex scales ENTER_TOL and DEGEN_TOL by the reward range;
+# the revised simplex uses them as absolute bounds.
 ENTER_TOL = 1e-11
 DEGEN_TOL = 1e-9
 RATIO_TOL = 1e-11
@@ -92,9 +96,18 @@ class SolveResult:
 
 
 # --- transportation simplex (bipartite) ------------------------------------
+#
+# The basis is a spanning tree on m + n nodes, rows 0..m-1 and columns
+# m..m+n-1, where basic cell (i, j) is the arc between nodes i and m + j.
+# It hangs from row 0 and is kept as lists indexed by node: the parent, the
+# depth, the mass on the arc to the parent and that arc's flat cell index.
 
 def _northwest_path(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
-    """Northwest-corner start: a staircase of exactly m+n-1 cells."""
+    """Northwest-corner start: a staircase of exactly m+n-1 cells.
+
+    The last row takes what is left of each column, so that a shortfall of
+    rounding in the row weights cannot leave a zero-mass cell there.
+    """
     m, n = a.size, b.size
     ra = a.astype(float).copy()
     rb = b.astype(float).copy()
@@ -102,7 +115,7 @@ def _northwest_path(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]]
     alloc: list[float] = []
     i = j = 0
     for _ in range(m + n - 1):
-        take = min(ra[i], rb[j])
+        take = rb[j] if i == m - 1 else min(ra[i], rb[j])
         cells.append((i, j))
         alloc.append(float(take))
         ra[i] -= take
@@ -120,170 +133,154 @@ def _northwest_path(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]]
     return cells, alloc
 
 
-def _tree_duals(reward: np.ndarray, rows_adj, cols_adj) -> tuple[np.ndarray, np.ndarray]:
-    """Solve U_i + V_j = reward_ij on the spanning tree, anchored at U_0 = 0."""
-    m, n = reward.shape
-    U = np.full(m, np.nan)
-    V = np.full(n, np.nan)
-    U[0] = 0.0
-    stack = [(True, 0)]
-    while stack:
-        is_row, idx = stack.pop()
-        if is_row:
-            for j in rows_adj[idx]:
-                if np.isnan(V[j]):
-                    V[j] = reward[idx, j] - U[idx]
-                    stack.append((False, j))
-        else:
-            for i in cols_adj[idx]:
-                if np.isnan(U[i]):
-                    U[i] = reward[i, idx] - V[idx]
-                    stack.append((True, i))
-    if np.any(np.isnan(U)) or np.any(np.isnan(V)):
-        raise RuntimeError("basis graph is not spanning")
-    return U, V
-
-
 def _tree_masses(cells: list[tuple[int, int]], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Recompute basic masses from the marginals by peeling tree leaves.
 
-    Keeps the final coupling free of drift accumulated over pivots.
+    Keeps the final coupling free of drift accumulated over pivots.  Degrees
+    are counted once and leaves wait in a queue, so the peel is linear.
     """
-    m, n = a.size, b.size
-    rem_a = a.astype(float).copy()
-    rem_b = b.astype(float).copy()
-    inc_r: list[set[int]] = [set() for _ in range(m)]
-    inc_c: list[set[int]] = [set() for _ in range(n)]
+    m = a.size
+    rem = np.concatenate([a, b]).tolist()
+    incident: list[list[int]] = [[] for _ in rem]
     for t, (i, j) in enumerate(cells):
-        inc_r[i].add(t)
-        inc_c[j].add(t)
+        incident[i].append(t)
+        incident[m + j].append(t)
+    degree = [len(arcs) for arcs in incident]
+    alive = [True] * len(cells)
     out = np.zeros(len(cells))
-    alive = len(cells)
-    while alive:
-        pick = None
-        for i in range(m):
-            if len(inc_r[i]) == 1:
-                pick = (True, i)
-                break
-        if pick is None:
-            for j in range(n):
-                if len(inc_c[j]) == 1:
-                    pick = (False, j)
-                    break
-        if pick is None:
-            raise RuntimeError("transport basis is not a tree")
-        is_row, node = pick
-        t = next(iter(inc_r[node] if is_row else inc_c[node]))
+    leaves = deque(u for u, d in enumerate(degree) if d == 1)
+    while leaves:
+        u = leaves.popleft()
+        if degree[u] != 1:
+            continue  # its last cell went when its neighbour was peeled
+        t = next(t for t in incident[u] if alive[t])
         i, j = cells[t]
-        mass = rem_a[i] if is_row else rem_b[j]
-        out[t] = mass
-        rem_a[i] -= mass
-        rem_b[j] -= mass
-        inc_r[i].discard(t)
-        inc_c[j].discard(t)
-        alive -= 1
+        other = m + j if u < m else i
+        out[t] = rem[u]
+        rem[other] -= rem[u]
+        alive[t] = False
+        degree[u] = 0
+        degree[other] -= 1
+        if degree[other] == 1:
+            leaves.append(other)
     return out
 
 
 def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray,
                        enter_tol: float = ENTER_TOL,
                        degen_tol: float = DEGEN_TOL):
-    """Primal simplex on the transportation polytope (maximization).
+    """Primal network simplex on the transportation polytope (maximization).
+
+    Enters the cell of largest reduced cost (Dantzig's rule, first flat
+    index on ties) and leaves by Cunningham's rule, which keeps the tree
+    strongly feasible: every zero-mass arc hangs with its row as the child.
+    After a pivot only the potentials of the re-hung subtree are recomputed.
+    Both tolerances are relative to the reward range max R - min R.
 
     Returns (cells, masses, U, V, iterations, degenerate_flag) where cells
     is the optimal basis (m+n-1 entries, some possibly at zero level).
     """
     m, n = reward.shape
-    cells, alloc = _northwest_path(a, b)
-    basis_set = set(cells)
-    rows_adj: list[set[int]] = [set() for _ in range(m)]
-    cols_adj: list[set[int]] = [set() for _ in range(n)]
-    mass = {}
-    for (i, j), w in zip(cells, alloc):
-        rows_adj[i].add(j)
-        cols_adj[j].add(i)
-        mass[(i, j)] = w
+    scale = float(reward.max() - reward.min())
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    flow = [0.0] * (m + n)
+    cell = [0] * (m + n)  # node 0 is the root and has no arc
+    pot = [0.0] * (m + n)
+    children: list[list[int]] = [[] for _ in range(m + n)]
+    # each staircase cell after the first brings in one new node, its child
+    for (i, j), w in zip(*_northwest_path(a, b)):
+        child, par = (m + j, i) if parent[m + j] < 0 else (i, m + j)
+        parent[child], depth[child] = par, depth[par] + 1
+        flow[child], cell[child] = w, i * n + j
+        pot[child] = reward.item(i, j) - pot[par]
+        children[par].append(child)
+    assert all(flow[c] > 0.0 or a[parent[c]] == 0.0 or b[c - m] == 0.0
+               for c in range(m, m + n)), "start is not strongly feasible"
 
     iterations = 0
     max_iter = 2000 + 50 * m * n
+    red = np.empty_like(reward)  # reused: a fresh array per pivot page-faults
     while True:
-        U, V = _tree_duals(reward, rows_adj, cols_adj)
-        red = reward - U[:, None] - V[None, :]
-        flat = np.flatnonzero(red.ravel() > enter_tol)
-        entering = None
-        for t in flat:
-            cand = (int(t) // n, int(t) % n)
-            if cand not in basis_set:
-                entering = cand
-                break
-        if entering is None:
+        pi = np.array(pot)
+        U, V = pi[:m], pi[m:]
+        np.subtract(reward, U[:, None], out=red)
+        red -= V[None, :]
+        np.put(red, cell[1:], -np.inf)
+        t = int(np.argmax(red))
+        if red.flat[t] <= enter_tol * scale:
             break
         iterations += 1
         if iterations > max_iter:
             raise PivotBudgetExceeded("transport simplex exceeded its pivot budget")
 
-        # unique tree path from row-node entering[0] to col-node entering[1]
-        parent: dict[tuple[bool, int], tuple[bool, int]] = {}
-        start = (True, entering[0])
-        goal = (False, entering[1])
-        stack = [start]
-        seen = {start}
+        # the cycle: both ends walk up to their common ancestor, the apex
+        i, j = divmod(t, n)
+        u, v = i, m + j
+        side_i: list[int] = []
+        side_j: list[int] = []
+        while u != v:
+            if depth[u] >= depth[v]:
+                side_i.append(u)
+                u = parent[u]
+            else:
+                side_j.append(v)
+                v = parent[v]
+        # mass falls on the arcs above row nodes on the i side and above
+        # column nodes on the j side; it rises on the others
+        minus = side_i[::2] + side_j[::2]
+        theta = min(flow[w] for w in minus)
+        # Cunningham: the last blocking arc met on the way round from the
+        # apex down the i side, across the entering cell and up the j side
+        q = next((w for w in reversed(side_j[::2]) if flow[w] == theta), None)
+        if q is not None:
+            path, anchor = side_j, i
+        else:
+            q = next(w for w in side_i[::2] if flow[w] == theta)
+            path, anchor = side_i, m + j
+        if theta > 0.0:
+            for w in minus:
+                flow[w] -= theta
+            for w in side_i[1::2] + side_j[1::2]:
+                flow[w] += theta
+
+        # drop q's arc and re-hang its subtree from the entering cell by
+        # reversing the path from that cell's end up to q
+        path = path[:path.index(q) + 1]
+        par, f, c = anchor, theta, t
+        for w in path:
+            children[parent[w]].remove(w)
+            children[par].append(w)
+            parent[w] = par
+            flow[w], f = f, flow[w]
+            cell[w], c = c, cell[w]
+            par = w
+        stack = [path[0]]
         while stack:
-            node = stack.pop()
-            if node == goal:
-                break
-            is_row, idx = node
-            nbrs = rows_adj[idx] if is_row else cols_adj[idx]
-            for other in sorted(nbrs):
-                nxt = (not is_row, other)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = node
-                    stack.append(nxt)
-        node = goal
-        path_nodes = [node]
-        while node != start:
-            node = parent[node]
-            path_nodes.append(node)
-        path_nodes.reverse()
+            w = stack.pop()
+            p = parent[w]
+            depth[w] = depth[p] + 1
+            row, col = (w, p) if w < m else (p, w)
+            pot[w] = reward.item(row, col - m) - pot[p]
+            stack += children[w]
 
-        plus: list[tuple[int, int]] = []
-        minus: list[tuple[int, int]] = []
-        for step, (frm, to) in enumerate(zip(path_nodes[:-1], path_nodes[1:])):
-            cell = (frm[1], to[1]) if frm[0] else (to[1], frm[1])
-            (minus if step % 2 == 0 else plus).append(cell)
-
-        theta = min(mass[c] for c in minus)
-        leaving = min(c for c in minus if mass[c] == theta)
-        for c in minus:
-            mass[c] -= theta
-        for c in plus:
-            mass[c] += theta
-        mass[entering] = theta
-        mass.pop(leaving)
-        basis_set.discard(leaving)
-        basis_set.add(entering)
-        rows_adj[leaving[0]].discard(leaving[1])
-        cols_adj[leaving[1]].discard(leaving[0])
-        rows_adj[entering[0]].add(entering[1])
-        cols_adj[entering[1]].add(entering[0])
-
-    cells = sorted(basis_set)
+    cells = sorted(divmod(c, n) for c in cell[1:])
     masses = _tree_masses(cells, a, b)
     if masses.min() < -MASS_CLAMP:
         raise RuntimeError(f"negative basic mass {masses.min():.3e}")
     masses = np.maximum(masses, 0.0)
-    nonbasic = np.ones((m, n), dtype=bool)
-    for (i, j) in cells:
-        nonbasic[i, j] = False
-    degenerate = bool(np.any(red[nonbasic] >= -degen_tol)) if nonbasic.any() else False
+    degenerate = bool(red.max() >= -degen_tol * scale)
     return cells, masses, U, V, iterations, degenerate
 
 
 def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
                     enter_tol: float = ENTER_TOL,
                     degen_tol: float = DEGEN_TOL) -> SolveResult:
-    """Maximize sum of cost[i,j]·gamma_ij over couplings of (mu, nu)."""
+    """Maximize sum of cost[i,j]·gamma_ij over couplings of (mu, nu).
+
+    enter_tol and degen_tol are fractions of the reward range max - min, so
+    they mean the same at every scale and shift of the rewards.
+    """
     reward = np.asarray(cost, dtype=float)
     if reward.shape != (mu.size, nu.size):
         raise DimensionMismatch(
@@ -500,10 +497,13 @@ def _greedy_tripartite_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return cols
 
 
-def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray, nz: int) -> list[int]:
-    ny = b.size
+def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray,
+                            grid: np.ndarray) -> list[int]:
+    """Northwest-corner cells, each at its pair's best good: the same X and Y
+    rows as any other choice of goods, so still a basis of the free-z LP."""
+    _, ny, nz = grid.shape
     cells, _ = _northwest_path(a, b)
-    return [(i * ny + j) * nz for (i, j) in cells]
+    return [(i * ny + j) * nz + int(np.argmax(grid[i, j])) for (i, j) in cells]
 
 
 def _coupling_from_flat(x: np.ndarray, mu, nu, z_pts, alpha, ny: int, nz: int):
@@ -560,7 +560,7 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
     grid = s.value_grid(mu.points, nu.points, z_pts)
     A = _direct_constraints(nx, ny, nz, keep_alpha=False)
     b = np.concatenate([mu.weights, nu.weights[:-1]])
-    warm = _bipartite_warm_columns(mu.weights, nu.weights, nz)
+    warm = _bipartite_warm_columns(mu.weights, nu.weights, grid)
     x, y, iterations, degen = _revised_simplex_max(A, b, grid.ravel(), warm)
     U = y[:nx].copy()
     V = np.concatenate([y[nx:], [0.0]])

@@ -1,0 +1,136 @@
+"""The bipartite transport engine against scipy oracles, across scales,
+shapes, skewed weights and degenerate rewards."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import coo_matrix
+
+from hedonic_match.core import DiscreteMeasure
+from hedonic_match.instances import random_instance
+from hedonic_match.solver import solve_bipartite, solve_hybrid
+
+
+def _measure(weights):
+    w = np.asarray(weights, dtype=float)
+    return DiscreteMeasure(np.arange(w.size, dtype=float)[:, None], w / w.sum())
+
+
+def _uniform(n):
+    return DiscreteMeasure.uniform(np.arange(n, dtype=float)[:, None])
+
+
+def _dual_infeasibility(reward, res):
+    U, V = res.potentials.U, res.potentials.V
+    return float(np.max(reward - U[:, None] - V[None, :]))
+
+
+def _assignment_value(reward):
+    rows, cols = linear_sum_assignment(-reward)
+    return float(reward[rows, cols].sum()) / reward.shape[0]
+
+
+def _linprog_value(reward, a, b):
+    """The transport LP in sparse form, solved by HiGHS."""
+    m, n = reward.shape
+    t = np.arange(m * n)
+    A_eq = coo_matrix((np.ones(2 * m * n),
+                       (np.concatenate([t // n, m + t % n]), np.concatenate([t, t]))),
+                      shape=(m + n, m * n))
+    res = linprog(-reward.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("scale, shift", [
+    (1e-12, 0.0), (1e-10, 0.0), (1e-6, 0.0), (1.0, 0.0), (1e6, 0.0),
+    (1e12, 0.0), (1.0, 1e6),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_optimum_and_duals_are_scale_free(seed, scale, shift):
+    base = np.random.default_rng(seed).uniform(size=(25, 25))
+    reward = scale * base + shift
+    mu = _uniform(25)
+    res = solve_bipartite(reward, mu, mu)
+    best = _assignment_value(reward)
+    assert abs(res.objective - best) <= 1e-12 * abs(best)
+    # the shift carries the objective; the matching's value on the base
+    # rewards shows whether the optimum itself was found
+    on_base = sum(w * base[i, j] for (i, j), w in
+                  zip(res.coupling.indices, res.coupling.masses))
+    assert abs(on_base - _assignment_value(base)) <= 1e-12 * abs(on_base)
+    span = float(reward.max() - reward.min())
+    assert _dual_infeasibility(reward, res) <= 1e-9 * span
+
+
+@pytest.mark.parametrize("n", [10, 30, 60, 120])
+def test_skewed_rectangular_ladder_matches_highs(n):
+    rng = np.random.default_rng(n)
+    m = n + n // 3 + 1
+    reward = rng.normal(size=(m, n))
+    mu = _measure(np.exp(2.0 * rng.normal(size=m)))
+    nu = _measure(np.geomspace(1.0, 1e-3, n))
+    res = solve_bipartite(reward, mu, nu)
+    oracle = _linprog_value(reward, mu.weights, nu.weights)
+    assert res.objective == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(res.coupling.marginal_weights("x"), mu.weights,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.coupling.marginal_weights("y"), nu.weights,
+                               rtol=0, atol=1e-12)
+    span = float(reward.max() - reward.min())
+    assert _dual_infeasibility(reward, res) <= 1e-9 * span
+    U, V = res.potentials.U, res.potentials.V
+    i, j = res.coupling.indices.T
+    assert np.max(np.abs(reward[i, j] - U[i] - V[j])) <= 1e-9 * span
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 8),
+       log_scale=st.floats(-12.0, 12.0), shift=st.floats(-1e3, 1e3))
+def test_objective_is_invariant_under_permutation_scale_and_shift(
+        seed, m, n, log_scale, shift):
+    rng = np.random.default_rng(seed)
+    reward = rng.normal(size=(m, n))
+    a = np.exp(rng.normal(size=m))
+    b = np.exp(rng.normal(size=n))
+    base = solve_bipartite(reward, _measure(a), _measure(b))
+    pr, pc = rng.permutation(m), rng.permutation(n)
+    c = 10.0 ** log_scale
+    moved = solve_bipartite(c * reward[pr][:, pc] + c * shift,
+                            _measure(a[pr]), _measure(b[pc]))
+    expected = c * base.objective + c * shift
+    span = c * float(reward.max() - reward.min())
+    assert abs(moved.objective - expected) <= 1e-12 * max(abs(expected), span)
+
+
+@pytest.mark.parametrize("m, n", [(40, 40), (30, 45)])
+def test_zero_one_rewards_terminate_at_the_optimum(m, n):
+    rng = np.random.default_rng(m * n)
+    reward = (rng.uniform(size=(m, n)) < 0.2).astype(float)
+    mu, nu = _uniform(m), _uniform(n)
+    res = solve_bipartite(reward, mu, nu)
+    assert res.objective == pytest.approx(
+        _linprog_value(reward, mu.weights, nu.weights), abs=1e-12)
+    assert _dual_infeasibility(reward, res) <= 1e-9
+    assert res.degenerate_optimum
+
+
+def test_uniform_200_square_pivot_count():
+    reward = np.random.default_rng(0).uniform(size=(200, 200))
+    mu = _uniform(200)
+    res = solve_bipartite(reward, mu, mu)
+    assert res.iterations < 10_000
+    assert abs(res.objective - _assignment_value(reward)) <= 1e-12 * res.objective
+
+
+def test_hybrid_bilinear_n60_finishes():
+    inst = random_instance(1, n=60, nz=17, family="bilinear")
+    res = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    values = res.reduction.values
+    assert res.objective == pytest.approx(
+        _linprog_value(values, inst.mu.weights, inst.nu.weights), rel=1e-9)
+    span = float(values.max() - values.min())
+    assert _dual_infeasibility(values, res) <= 1e-9 * span
