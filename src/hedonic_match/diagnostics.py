@@ -18,6 +18,7 @@ from .surplus import (
     SingularBlock,
     StrictlyHedonicSurplus,
     _nonsingular,
+    _reduced_matrix,
     signature,
 )
 
@@ -289,28 +290,29 @@ def check_compatibility_1d(s, points, degenerate_tol: float = 1e-12) -> TwistRep
     """
     if tuple(s.dims) != (1, 1, 1):
         raise ValidationError("compatibility check is for 1-D models only")
-    values = []
-    for triple in points:
-        x, y, z = triple
-        sxy, sxz, syz = (float(b[0, 0]) for b in s.hessian_blocks(x, y, z))
-        if abs(syz) <= degenerate_tol * (1.0 + abs(sxy) + abs(sxz)):
-            raise DegenerateCross(
-                f"s_yz = {syz} at {tuple(float(np.ravel(v)[0]) for v in triple)}"
-            )
+    X, Y, Z = (s._canon_grid([triple[a] for triple in points], axis)
+               for a, axis in enumerate("xyz"))
+    sxy, sxz, syz = (b[:, 0, 0] for b in s._hess(X, Y, Z))
+    degenerate = np.abs(syz) <= degenerate_tol * (1.0 + np.abs(sxy) + np.abs(sxz))
+    with np.errstate(divide="ignore", invalid="ignore"):
         product = sxy * sxz / syz
-        values.append(product)
-        if product <= 0.0:
-            return TwistReport(
-                criterion="compatibility",
-                verdict="fails",
-                witness={"point": [float(np.ravel(v)[0]) for v in triple],
-                         "product": product},
-                details={"n_samples": len(points)},
-            )
+    # the first point that is degenerate or failing decides the outcome
+    bad = np.flatnonzero(degenerate | (product <= 0.0))
+    if bad.size:
+        first = int(bad[0])
+        point = [float(X[first, 0]), float(Y[first, 0]), float(Z[first, 0])]
+        if degenerate[first]:
+            raise DegenerateCross(f"s_yz = {float(syz[first])} at {tuple(point)}")
+        return TwistReport(
+            criterion="compatibility",
+            verdict="fails",
+            witness={"point": point, "product": float(product[first])},
+            details={"n_samples": len(points)},
+        )
     return TwistReport(
         criterion="compatibility",
         verdict="holds",
-        details={"n_samples": len(points), "min_product": min(values)},
+        details={"n_samples": len(points), "min_product": float(np.min(product))},
     )
 
 
@@ -325,12 +327,10 @@ def check_tss_bilinear(A, B, C, tol: float = EIG_REL_TOL) -> TwistReport:
         return TwistReport(criterion="TSS-bilinear", verdict="inconclusive",
                            details={"reason": f"A is {A.shape}, not square"})
     try:
-        a_inv = np.linalg.inv(_nonsingular(A))
+        M = _reduced_matrix(A, B, C)
     except SingularBlock as exc:
         return TwistReport(criterion="TSS-bilinear", verdict="inconclusive",
                            details={"reason": f"singular A: {exc}"})
-    P = C.T @ a_inv @ B
-    M = P + P.T
     eigs = np.linalg.eigvalsh(M)
     threshold = tol * float(np.linalg.norm(M))
     min_eig = float(eigs[0])
@@ -436,9 +436,17 @@ class SplittingSetSample:
         }
 
 
-def _cluster_by_gradient(grads: list[np.ndarray], grad_tol: float) -> list[list[int]]:
-    """Transitive closure of the relation ‖g_a − g_b‖∞ ≤ grad_tol."""
-    n = len(grads)
+def _close_after(G: np.ndarray, a: int, tol: float) -> np.ndarray:
+    """Indices b > a, ascending, with ‖G[a] − G[b]‖∞ ≤ tol."""
+    dist = np.max(np.abs(G[a + 1:] - G[a]), axis=-1)
+    return a + 1 + np.flatnonzero(dist <= tol)
+
+
+def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
+    """Transitive closure of the relation ‖g_a − g_b‖∞ ≤ grad_tol over the
+    rows of grads."""
+    G = np.asarray(grads, dtype=float)
+    n = G.shape[0]
     parent = list(range(n))
 
     def find(a):
@@ -447,12 +455,11 @@ def _cluster_by_gradient(grads: list[np.ndarray], grad_tol: float) -> list[list[
             a = parent[a]
         return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if float(np.max(np.abs(grads[a] - grads[b]))) <= grad_tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    for a in range(n - 1):
+        for b in _close_after(G, a, grad_tol):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
     for a in range(n):
         groups.setdefault(find(a), []).append(a)
@@ -480,37 +487,41 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     V = np.asarray(V, dtype=float).reshape(-1)
     if V.size != Y.shape[0]:
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
-    delta = s.value_grid(X, Y, Z) - V[None, :, None]
+    delta = s.value_grid(X, Y, Z)
+    delta -= V[None, :, None]
+    shifts = np.max(delta, axis=(1, 2))
+    if require_feasible and np.any(shifts > tol):
+        ix = int(np.argmax(shifts > tol))
+        raise InfeasibleV(
+            f"max of s - V is {shifts[ix]:.3e} > tol at x index {ix}; "
+            "V does not dominate this slice"
+        )
+    # the members of every slice, ordered by (x, y, z) index, and their
+    # buyer gradients in one batch
+    idx = np.argwhere(delta >= (shifts - tol)[:, None, None])
+    all_grads = s._grad(X[idx[:, 0]], Y[idx[:, 1]], Z[idx[:, 2]])[0]
+    bounds = np.searchsorted(idx[:, 0], np.arange(X.shape[0] + 1))
 
     samples = []
     witness = None
     cluster_sizes = []
     for ix in range(X.shape[0]):
-        slice_delta = delta[ix]
-        shift = float(np.max(slice_delta))
-        if require_feasible and shift > tol:
-            raise InfeasibleV(
-                f"max of s - V is {shift:.3e} > tol at x index {ix}; "
-                "V does not dominate this slice"
-            )
-        member_idx = np.argwhere(slice_delta >= shift - tol)
-        members = [(int(j), int(k)) for j, k in member_idx]
-        points = [(Y[j], Z[k]) for j, k in members]
-        grads = [np.asarray(s.grad_x(X[ix], Y[j], Z[k]), dtype=float)
-                 for j, k in members]
+        lo, hi = bounds[ix], bounds[ix + 1]
+        js, ks = idx[lo:hi, 1], idx[lo:hi, 2]
+        grads = all_grads[lo:hi]
+        points = [(Y[j], Z[k]) for j, k in zip(js, ks)]
         samples.append(SplittingSetSample(
-            x=X[ix], shift=shift,
-            member_indices=tuple(members),
+            x=X[ix], shift=float(shifts[ix]),
+            member_indices=tuple(map(tuple, idx[lo:hi, 1:].tolist())),
             member_points=tuple(points),
             gradients=tuple(grads),
             tol=tol,
         ))
-        if not grads:
+        if hi == lo:
             continue
         local_tol = grad_tol
         if local_tol is None:
-            scale = max(float(np.max(np.abs(g))) for g in grads)
-            local_tol = 1e-6 * (1.0 + scale)
+            local_tol = 1e-6 * (1.0 + float(np.max(np.abs(grads))))
         clusters = _cluster_by_gradient(grads, local_tol)
         cluster_sizes.append(sorted(len(c) for c in clusters))
         if witness is not None:
@@ -518,10 +529,9 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
         for cluster in clusters:
             if len(cluster) < 2:
                 continue
-            coords = [np.concatenate(points[a]) for a in cluster]
-            spread = max(float(np.max(np.abs(ca - cb)))
-                         for ai, ca in enumerate(coords)
-                         for cb in coords[ai + 1:])
+            # the largest pairwise ‖c_a − c_b‖∞ is the widest coordinate range
+            coords = np.hstack([Y[js[cluster]], Z[ks[cluster]]])
+            spread = float(np.max(np.ptp(coords, axis=0)))
             if spread > point_tol:
                 witness = {
                     "x": X[ix].tolist(),
@@ -557,14 +567,7 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
     Z = as_point_array(zs)
 
     if hasattr(u, "grad_p"):
-        u_comp, v_comp = u, v
-        s_model = StrictlyHedonicSurplus(u_comp, v_comp)
-
-        def du_x(x, z):
-            return np.asarray(u_comp.grad_p(np.ravel(x), np.ravel(z)), dtype=float)
-
-        def dv_z(y, z):
-            return np.asarray(v_comp.grad_z(np.ravel(y), np.ravel(z)), dtype=float)
+        s_model = StrictlyHedonicSurplus(u, v)
     else:
         s_model = u
         if v is not None and v is not u:
@@ -573,30 +576,21 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
             raise MissingUV("strictly hedonic check needs separate u and v")
         _verify_separable(s_model, X, Y, Z, tol)
 
-        y_ref = Y[0]
-        x_ref = X[0]
-
-        def du_x(x, z):
-            return np.asarray(s_model.grad_x(x, y_ref, z), dtype=float)
-
-        def dv_z(y, z):
-            return np.asarray(s_model.grad_v_z(x_ref, y, z), dtype=float)
-
-    u_grads = [[du_x(X[i], Z[k]) for k in range(Z.shape[0])]
-               for i in range(X.shape[0])]
-    v_grads = [[dv_z(Y[j], Z[k]) for j in range(Y.shape[0])]
-               for k in range(Z.shape[0])]
+    # u_grads[i, k] = D_x u(x_i, z_k) and v_grads[k, j] = D_z v(y_j, z_k); on
+    # a separable model D_x s does not depend on y, so y_1 stands in for all
+    u_grads = s_model._grad(X[:, None], Y[0], Z[None, :])[0]
+    v_grads = s_model._grad_v_z(Y[None, :], Z[:, None])
     if grad_tol is None:
-        scale = max([float(np.max(np.abs(g))) for row in u_grads + v_grads
-                     for g in row] or [0.0])
+        scale = max((float(np.max(np.abs(g))) for g in (u_grads, v_grads) if g.size),
+                    default=0.0)
         grad_tol = 1e-6 * (1.0 + scale)
 
     def first_collision(rows):
         for slot, row in enumerate(rows):
             for a in range(len(row)):
-                for b in range(a + 1, len(row)):
-                    if float(np.max(np.abs(row[a] - row[b]))) <= grad_tol:
-                        return slot, a, b
+                close = _close_after(row, a, grad_tol)
+                if close.size:
+                    return slot, a, int(close[0])
         return None
 
     hit = first_collision(u_grads)
@@ -606,7 +600,7 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
             criterion="strictly-hedonic", verdict="fails",
             witness={"side": "u", "x": X[i].tolist(),
                      "z_a": Z[ka].tolist(), "z_b": Z[kb].tolist(),
-                     "gradient": u_grads[i][ka].tolist()},
+                     "gradient": u_grads[i, ka].tolist()},
             details={"grad_tol": grad_tol},
         )
     hit = first_collision(v_grads)
@@ -616,7 +610,7 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
             criterion="strictly-hedonic", verdict="fails",
             witness={"side": "v", "z": Z[k].tolist(),
                      "y_a": Y[ja].tolist(), "y_b": Y[jb].tolist(),
-                     "gradient": v_grads[k][ja].tolist()},
+                     "gradient": v_grads[k, ja].tolist()},
             details={"grad_tol": grad_tol},
         )
 

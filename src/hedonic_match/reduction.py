@@ -111,7 +111,8 @@ def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
     if not np.all(np.isfinite(V)):
         raise ValidationError("V must be finite")
     grid = s.value_grid(X, Y, Z)
-    return np.max(grid - V[None, :, None], axis=(1, 2))
+    grid -= V[None, :, None]
+    return np.max(grid, axis=(1, 2))
 
 
 def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
@@ -125,7 +126,8 @@ def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
     if not np.all(np.isfinite(U)):
         raise ValidationError("U must be finite")
     grid = s.value_grid(X, Y, Z)
-    return np.max(grid - U[:, None, None], axis=(0, 2))
+    grid -= U[:, None, None]
+    return np.max(grid, axis=(0, 2))
 
 
 def reduced_to_csv(reduced: ReducedSurplus, path) -> None:

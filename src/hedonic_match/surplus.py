@@ -9,9 +9,12 @@ Families
 - StrictlyHedonic: s = u(x,z) + v(y,z), no direct x-y interaction
 - Tabulated:       dense value grid, finite-difference derivatives
 
-Each family evaluates s in one broadcasting kernel over points of shape
-(..., d); the scalar, row-paired and product-grid evaluators all call it, so
-the three round identically.
+Each family implements three broadcasting kernels over points of shape
+(..., d) on each axis: _kernel gives s, _grad the gradients (D_x s, D_y s,
+D_z s) and _hess the mixed blocks (D²xy s, D²xz s, D²yz s).  SurplusModel
+derives the scalar, row-paired and product-grid evaluators and the scalar
+derivative methods from them, so every form rounds identically.  Matrix
+terms are stacked matmuls, which round like M @ p for a single point.
 
 The G matrix stacks the mixed Hessian blocks with zero diagonal blocks; its
 eigenvalue signature bounds the dimension of any stable support.  Eigenvalues
@@ -83,9 +86,10 @@ def _poly_val(polys: list[np.ndarray], pts: np.ndarray):
     return total
 
 
-def _poly_grad(polys: list[np.ndarray], point: np.ndarray) -> np.ndarray:
-    return np.array([npoly.polyval(point[d], npoly.polyder(polys[d]))
-                     for d in range(len(polys))])
+def _poly_der(polys: list[np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """Gradient of Σ_d polys[d](p_d) over points of shape (..., d)."""
+    return np.stack([npoly.polyval(pts[..., d], npoly.polyder(c))
+                     for d, c in enumerate(polys)], axis=-1)
 
 
 def _polys_to_jsonable(polys: list[np.ndarray]):
@@ -110,6 +114,33 @@ def _pair(P: np.ndarray, M: np.ndarray, Q: np.ndarray):
     return total
 
 
+def _mv(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """M p over points of shape (..., d) as a stacked matmul."""
+    return (M @ P[..., None])[..., 0]
+
+
+def _lead(*arrays) -> tuple:
+    """Broadcast leading shape of point arrays of shape (..., d)."""
+    return np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+
+
+def _broadcast(*arrays) -> tuple:
+    """Point arrays broadcast to their common leading shape."""
+    lead = _lead(*arrays)
+    return tuple(np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays)
+
+
+def _vec(lead: tuple, entries) -> np.ndarray:
+    """Entries broadcast to the leading shape, stacked on a last axis."""
+    return np.stack([np.broadcast_to(e, lead) for e in entries], axis=-1)
+
+
+def _mat(lead: tuple, rows) -> np.ndarray:
+    """Rows of entries (or a matrix) broadcast to the leading shape:
+    (*lead, rows, cols)."""
+    return np.stack([_vec(lead, row) for row in rows], axis=-2)
+
+
 def _snap(nodes: np.ndarray, q, label: str) -> np.ndarray:
     """Index of the node each query sits on (snap tolerance 1e-8 relative to
     the node span); OutOfGrid when any query is off the nodes."""
@@ -125,7 +156,17 @@ def _snap(nodes: np.ndarray, q, label: str) -> np.ndarray:
 # --- base model ------------------------------------------------------------
 
 class SurplusModel:
-    """Base class; subclasses provide _kernel() and analytic derivatives."""
+    """Base class.  Subclasses provide dims and three broadcasting kernels
+    over points X, Y, Z of shape (..., d_x), (..., d_y), (..., d_z) whose
+    leading axes broadcast together to a shape L:
+
+    - _kernel(X, Y, Z): s, of shape L;
+    - _grad(X, Y, Z): (D_x s, D_y s, D_z s), each of shape (*L, d_axis);
+    - _hess(X, Y, Z): (D²xy s, D²xz s, D²yz s), each of shape (*L, d_a, d_b).
+
+    Models with a separate seller utility v(y, z) also provide
+    _grad_v_z(Y, Z).  Every public evaluator and derivative calls these.
+    """
 
     family = "custom"
     has_uv = False
@@ -152,27 +193,40 @@ class SurplusModel:
             )
         return arr
 
+    def _point(self, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._canon(x, "x"), self._canon(y, "y"), self._canon(z, "z")
+
     def _kernel(self, X, Y, Z) -> np.ndarray:
-        """s at points of shape (..., d) on each axis, broadcast over the
-        leading axes."""
         raise NotImplementedError
+
+    def _grad(self, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _hess(self, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _grad_v_z(self, Y, Z) -> np.ndarray:
+        raise MissingUV(f"{self.family} model has no separate seller utility")
 
     def value(self, x, y, z) -> float:
-        return float(self._kernel(self._canon(x, "x"), self._canon(y, "y"),
-                                  self._canon(z, "z")))
+        return float(self._kernel(*self._point(x, y, z)))
 
     def grad_x(self, x, y, z) -> np.ndarray:
-        raise NotImplementedError
+        return self._grad(*self._point(x, y, z))[0]
 
     def grad_y(self, x, y, z) -> np.ndarray:
-        raise NotImplementedError
+        return self._grad(*self._point(x, y, z))[1]
 
     def grad_z(self, x, y, z) -> np.ndarray:
-        raise NotImplementedError
+        return self._grad(*self._point(x, y, z))[2]
 
     def hessian_blocks(self, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mixed second-derivative blocks (D²xy s, D²xz s, D²yz s)."""
-        raise NotImplementedError
+        return self._hess(*self._point(x, y, z))
+
+    def grad_v_z(self, x, y, z) -> np.ndarray:
+        """D_z v, the good gradient of the seller utility."""
+        return self._grad_v_z(self._canon(y, "y"), self._canon(z, "z"))
 
     def value_batch(self, xs, ys, zs) -> np.ndarray:
         """Row-paired evaluation s(xs[i], ys[i], zs[i])."""
@@ -194,9 +248,6 @@ class SurplusModel:
         raise MissingUV(f"{self.family} model has no separate buyer utility")
 
     def value_v(self, x, y, z) -> float:
-        raise MissingUV(f"{self.family} model has no separate seller utility")
-
-    def grad_v_z(self, x, y, z) -> np.ndarray:
         raise MissingUV(f"{self.family} model has no separate seller utility")
 
     def to_dict(self) -> dict:
@@ -241,21 +292,15 @@ class BilinearSurplus(SurplusModel):
                 + _poly_val(self.f, X) + _poly_val(self.g, Y)
                 + _poly_val(self.h, Z))
 
-    def grad_x(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return self.A @ y + self.B @ z + _poly_grad(self.f, x)
+    def _grad(self, X, Y, Z):
+        return (_mv(self.A, Y) + _mv(self.B, Z) + _poly_der(self.f, X),
+                _mv(self.A.T, X) + _mv(self.C, Z) + _poly_der(self.g, Y),
+                _mv(self.B.T, X) + _mv(self.C.T, Y) + _mv(self.D + self.D.T, Z)
+                + _poly_der(self.h, Z))
 
-    def grad_y(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return self.A.T @ x + self.C @ z + _poly_grad(self.g, y)
-
-    def grad_z(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return (self.B.T @ x + self.C.T @ y + (self.D + self.D.T) @ z
-                + _poly_grad(self.h, z))
-
-    def hessian_blocks(self, x, y, z):
-        return self.A.copy(), self.B.copy(), self.C.copy()
+    def _hess(self, X, Y, Z):
+        lead = _lead(X, Y, Z)
+        return _mat(lead, self.A), _mat(lead, self.B), _mat(lead, self.C)
 
     def to_dict(self) -> dict:
         out = {
@@ -291,7 +336,24 @@ class CounterexampleSurplus(SurplusModel):
 
     def _kernel(self, X, Y, Z):
         x, y, z = X[..., 0], Y[..., 0], Z[..., 0]
-        return x * y + x * z - y * z - self.a * z * z
+        out = x * y + x * z
+        out -= y * z
+        out -= self.a * z * z
+        return out
+
+    def _grad(self, X, Y, Z):
+        x, y, z = X[..., 0], Y[..., 0], Z[..., 0]
+        lead = _lead(X, Y, Z)
+        return (_vec(lead, [y + z]), _vec(lead, [x - z]),
+                _vec(lead, [x - y - 2.0 * self.a * z]))
+
+    def _grad_v_z(self, Y, Z):
+        y, z = Y[..., 0], Z[..., 0]
+        return _vec(_lead(Y, Z), [-y - 2.0 * self.a * z])
+
+    def _hess(self, X, Y, Z):
+        lead = _lead(X, Y, Z)
+        return _mat(lead, [[1.0]]), _mat(lead, [[1.0]]), _mat(lead, [[-1.0]])
 
     def value_u(self, x, y, z) -> float:
         x = self._canon(x, "x")[0]; y = self._canon(y, "y")[0]
@@ -301,26 +363,6 @@ class CounterexampleSurplus(SurplusModel):
     def value_v(self, x, y, z) -> float:
         y = self._canon(y, "y")[0]; z = self._canon(z, "z")[0]
         return -y * z - self.a * z * z
-
-    def grad_x(self, x, y, z) -> np.ndarray:
-        y = self._canon(y, "y")[0]; z = self._canon(z, "z")[0]
-        return np.array([y + z])
-
-    def grad_y(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x")[0]; z = self._canon(z, "z")[0]
-        return np.array([x - z])
-
-    def grad_z(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x")[0]; y = self._canon(y, "y")[0]
-        z = self._canon(z, "z")[0]
-        return np.array([x - y - 2.0 * self.a * z])
-
-    def grad_v_z(self, x, y, z) -> np.ndarray:
-        y = self._canon(y, "y")[0]; z = self._canon(z, "z")[0]
-        return np.array([-y - 2.0 * self.a * z])
-
-    def hessian_blocks(self, x, y, z):
-        return np.array([[1.0]]), np.array([[1.0]]), np.array([[-1.0]])
 
     def tzss_blocks(self):
         """(A, B, C, D) for the bilinear twist criterion: value 1 - 2a."""
@@ -356,47 +398,36 @@ class ExpCosSurplus(SurplusModel):
                 + np.exp(y1 + z1) * np.cos(z2 - y2)
                 - np.exp(2.0 * x1) - np.exp(2.0 * y1) - np.exp(2.0 * z1))
 
-    def grad_x(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        exy = np.exp(x[0] + y[0]); exz = np.exp(x[0] + z[0])
-        txy = x[1] - y[1]; txz = x[1] - z[1]
-        return np.array([
-            exy * np.cos(txy) + exz * np.cos(txz) - 2.0 * np.exp(2.0 * x[0]),
-            -exy * np.sin(txy) - exz * np.sin(txz),
-        ])
+    @staticmethod
+    def _terms(X, Y, Z):
+        """(e^{a¹+b¹}, cos t, sin t) with phase t = a² − b² for the pairs
+        (a, b) = (x, y), (x, z), (z, y)."""
+        out = []
+        for A, B in ((X, Y), (X, Z), (Z, Y)):
+            t = A[..., 1] - B[..., 1]
+            out.append((np.exp(A[..., 0] + B[..., 0]), np.cos(t), np.sin(t)))
+        return out
 
-    def grad_y(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        exy = np.exp(x[0] + y[0]); eyz = np.exp(y[0] + z[0])
-        txy = x[1] - y[1]; tzy = z[1] - y[1]
-        return np.array([
-            exy * np.cos(txy) + eyz * np.cos(tzy) - 2.0 * np.exp(2.0 * y[0]),
-            exy * np.sin(txy) + eyz * np.sin(tzy),
-        ])
+    def _grad(self, X, Y, Z):
+        (exy, cxy, sxy), (exz, cxz, sxz), (eyz, czy, szy) = self._terms(X, Y, Z)
+        lead = _lead(X, Y, Z)
+        return (
+            _vec(lead, [exy * cxy + exz * cxz - 2.0 * np.exp(2.0 * X[..., 0]),
+                        -exy * sxy - exz * sxz]),
+            _vec(lead, [exy * cxy + eyz * czy - 2.0 * np.exp(2.0 * Y[..., 0]),
+                        exy * sxy + eyz * szy]),
+            _vec(lead, [exz * cxz + eyz * czy - 2.0 * np.exp(2.0 * Z[..., 0]),
+                        exz * sxz - eyz * szy]),
+        )
 
-    def grad_z(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        exz = np.exp(x[0] + z[0]); eyz = np.exp(y[0] + z[0])
-        txz = x[1] - z[1]; tzy = z[1] - y[1]
-        return np.array([
-            exz * np.cos(txz) + eyz * np.cos(tzy) - 2.0 * np.exp(2.0 * z[0]),
-            exz * np.sin(txz) - eyz * np.sin(tzy),
-        ])
-
-    def hessian_blocks(self, x, y, z):
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-
-        def rot(scale, t):
-            c, s = np.cos(t), np.sin(t)
-            return scale * np.array([[c, s], [-s, c]])
-
-        sxy = rot(np.exp(x[0] + y[0]), x[1] - y[1])
-        sxz = rot(np.exp(x[0] + z[0]), x[1] - z[1])
-        # d²/dy dz of e^{y1+z1} cos(z2-y2)
-        eyz = np.exp(y[0] + z[0]); tzy = z[1] - y[1]
-        c, s = np.cos(tzy), np.sin(tzy)
-        syz = eyz * np.array([[c, -s], [s, c]])
-        return sxy, sxz, syz
+    def _hess(self, X, Y, Z):
+        (exy, cxy, sxy), (exz, cxz, sxz), (eyz, czy, szy) = self._terms(X, Y, Z)
+        lead = _lead(X, Y, Z)
+        # the yz block differentiates e^{y1+z1} cos(z2-y2), whose phase runs
+        # the other way, so its sines swap sign
+        return (_mat(lead, [[exy * cxy, exy * sxy], [exy * -sxy, exy * cxy]]),
+                _mat(lead, [[exz * cxz, exz * sxz], [exz * -sxz, exz * cxz]]),
+                _mat(lead, [[eyz * czy, eyz * -szy], [eyz * szy, eyz * czy]]))
 
     def to_dict(self) -> dict:
         return {"family": self.family}
@@ -420,64 +451,36 @@ class Supermodular1DSurplus(SurplusModel):
 
     @staticmethod
     def _pow(base, k: int):
-        # repeated multiplication so scalar and array paths round identically
-        k = int(k)
-        if k == 0:
-            return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-        out = base
-        for _ in range(k - 1):
+        # repeated multiplication, which rounds alike at every shape
+        out = np.ones_like(base)
+        for _ in range(int(k)):
             out = out * base
         return out
 
+    def _mono(self, X, Y, Z, wrt=()):
+        """The derivative of s once in each axis index of wrt (0, 1, 2 for
+        x, y, z; distinct), over points of shape (..., 1)."""
+        exps = list(self.exponents)
+        coef = self.scale
+        for a in wrt:
+            if exps[a] == 0:
+                return 0.0
+            coef = coef * exps[a]
+            exps[a] -= 1
+        return (coef * self._pow(X[..., 0], exps[0]) * self._pow(Y[..., 0], exps[1])
+                * self._pow(Z[..., 0], exps[2]))
+
     def _kernel(self, X, Y, Z):
-        p, q, r = self.exponents
-        return (self.scale * self._pow(X[..., 0], p) * self._pow(Y[..., 0], q)
-                * self._pow(Z[..., 0], r))
+        return self._mono(X, Y, Z)
 
-    def _partial(self, vals, wrt) -> float:
-        x, y, z = vals
-        p, q, r = self.exponents
-        exps = [p, q, r]
-        if exps[wrt] == 0:
-            return 0.0
-        coef = self.scale * exps[wrt]
-        exps[wrt] -= 1
-        return (coef * self._pow(x, exps[0]) * self._pow(y, exps[1])
-                * self._pow(z, exps[2]))
+    def _grad(self, X, Y, Z):
+        lead = _lead(X, Y, Z)
+        return tuple(_vec(lead, [self._mono(X, Y, Z, (a,))]) for a in range(3))
 
-    def grad_x(self, x, y, z) -> np.ndarray:
-        vals = (self._canon(x, "x")[0], self._canon(y, "y")[0],
-                self._canon(z, "z")[0])
-        return np.array([self._partial(vals, 0)])
-
-    def grad_y(self, x, y, z) -> np.ndarray:
-        vals = (self._canon(x, "x")[0], self._canon(y, "y")[0],
-                self._canon(z, "z")[0])
-        return np.array([self._partial(vals, 1)])
-
-    def grad_z(self, x, y, z) -> np.ndarray:
-        vals = (self._canon(x, "x")[0], self._canon(y, "y")[0],
-                self._canon(z, "z")[0])
-        return np.array([self._partial(vals, 2)])
-
-    def _cross(self, vals, a, b) -> float:
-        x, y, z = vals
-        p, q, r = self.exponents
-        exps = [p, q, r]
-        if exps[a] == 0 or exps[b] == 0:
-            return 0.0
-        coef = self.scale * exps[a] * exps[b]
-        exps[a] -= 1
-        exps[b] -= 1
-        return (coef * self._pow(x, exps[0]) * self._pow(y, exps[1])
-                * self._pow(z, exps[2]))
-
-    def hessian_blocks(self, x, y, z):
-        vals = (self._canon(x, "x")[0], self._canon(y, "y")[0],
-                self._canon(z, "z")[0])
-        return (np.array([[self._cross(vals, 0, 1)]]),
-                np.array([[self._cross(vals, 0, 2)]]),
-                np.array([[self._cross(vals, 1, 2)]]))
+    def _hess(self, X, Y, Z):
+        lead = _lead(X, Y, Z)
+        return tuple(_mat(lead, [[self._mono(X, Y, Z, ab)]])
+                     for ab in ((0, 1), (0, 2), (1, 2)))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "exponents": list(self.exponents),
@@ -487,12 +490,26 @@ class Supermodular1DSurplus(SurplusModel):
 # --- strictly hedonic components -------------------------------------------
 
 class _Component:
-    """One side w(p, z) of a hedonic surplus; subclasses provide _kernel()
-    over points of shape (..., d) and the derivatives."""
+    """One side w(p, z) of a hedonic surplus.  Subclasses provide broadcasting
+    kernels over points P, Z of shape (..., d_p), (..., d_z): _kernel for w,
+    _grad for (D_p w, D_z w) and _hess for D²pz w."""
+
+    @staticmethod
+    def _pz(p, z) -> tuple[np.ndarray, np.ndarray]:
+        return (np.atleast_1d(np.asarray(p, dtype=float)),
+                np.atleast_1d(np.asarray(z, dtype=float)))
 
     def value(self, p, z) -> float:
-        return float(self._kernel(np.atleast_1d(np.asarray(p, dtype=float)),
-                                  np.atleast_1d(np.asarray(z, dtype=float))))
+        return float(self._kernel(*self._pz(p, z)))
+
+    def grad_p(self, p, z) -> np.ndarray:
+        return self._grad(*self._pz(p, z))[0]
+
+    def grad_z(self, p, z) -> np.ndarray:
+        return self._grad(*self._pz(p, z))[1]
+
+    def hess_pz(self, p, z) -> np.ndarray:
+        return self._hess(*self._pz(p, z))
 
 
 class BilinearComponent(_Component):
@@ -518,14 +535,12 @@ class BilinearComponent(_Component):
         return (_pair(P, self.M, Z) + _pair(Z, self.Dz, Z)
                 + _poly_val(self.f, P) + _poly_val(self.h, Z))
 
-    def grad_p(self, p, z) -> np.ndarray:
-        return self.M @ z + _poly_grad(self.f, p)
+    def _grad(self, P, Z):
+        return (_mv(self.M, Z) + _poly_der(self.f, P),
+                _mv(self.M.T, P) + _mv(self.Dz + self.Dz.T, Z) + _poly_der(self.h, Z))
 
-    def grad_z(self, p, z) -> np.ndarray:
-        return self.M.T @ p + (self.Dz + self.Dz.T) @ z + _poly_grad(self.h, z)
-
-    def hess_pz(self, p, z) -> np.ndarray:
-        return self.M.copy()
+    def _hess(self, P, Z):
+        return _mat(_lead(P, Z), self.M)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "M": self.M.tolist(), "Dz": self.Dz.tolist()}
@@ -572,14 +587,12 @@ class TabulatedComponent(_Component):
     def _kernel(self, P, Z):
         return self.values[self._at(P, Z)]
 
-    def grad_p(self, p, z) -> np.ndarray:
-        return np.array([self._dp[self._at(p, z)]])
+    def _grad(self, P, Z):
+        at = self._at(P, Z)
+        return self._dp[at][..., None], self._dz[at][..., None]
 
-    def grad_z(self, p, z) -> np.ndarray:
-        return np.array([self._dz[self._at(p, z)]])
-
-    def hess_pz(self, p, z) -> np.ndarray:
-        return np.array([[self._dpz[self._at(p, z)]]])
+    def _hess(self, P, Z):
+        return self._dpz[self._at(P, Z)][..., None, None]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "values": self.values.tolist(),
@@ -631,26 +644,19 @@ class StrictlyHedonicSurplus(SurplusModel):
     def value_v(self, x, y, z) -> float:
         return self.v.value(self._canon(y, "y"), self._canon(z, "z"))
 
-    def grad_x(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); z = self._canon(z, "z")
-        return self.u.grad_p(x, z)
+    def _grad(self, X, Y, Z):
+        X, Y, Z = _broadcast(X, Y, Z)
+        (ux, uz), (vy, vz) = self.u._grad(X, Z), self.v._grad(Y, Z)
+        return ux, vy, uz + vz
 
-    def grad_y(self, x, y, z) -> np.ndarray:
-        y = self._canon(y, "y"); z = self._canon(z, "z")
-        return self.v.grad_p(y, z)
+    def _grad_v_z(self, Y, Z):
+        return self.v._grad(Y, Z)[1]
 
-    def grad_z(self, x, y, z) -> np.ndarray:
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
-        return self.u.grad_z(x, z) + self.v.grad_z(y, z)
-
-    def grad_v_z(self, x, y, z) -> np.ndarray:
-        y = self._canon(y, "y"); z = self._canon(z, "z")
-        return self.v.grad_z(y, z)
-
-    def hessian_blocks(self, x, y, z):
-        x = self._canon(x, "x"); y = self._canon(y, "y"); z = self._canon(z, "z")
+    def _hess(self, X, Y, Z):
+        X, Y, Z = _broadcast(X, Y, Z)
         dx, dy, _ = self.dims
-        return (np.zeros((dx, dy)), self.u.hess_pz(x, z), self.v.hess_pz(y, z))
+        return (np.zeros(X.shape[:-1] + (dx, dy)), self.u._hess(X, Z),
+                self.v._hess(Y, Z))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "u": self.u.to_dict(),
@@ -695,24 +701,14 @@ class TabulatedSurplus(SurplusModel):
     def _kernel(self, X, Y, Z):
         return self.values[self._ijk(X, Y, Z)]
 
-    def _at(self, x, y, z):
-        return self._ijk(self._canon(x, "x"), self._canon(y, "y"),
-                         self._canon(z, "z"))
+    def _grad(self, X, Y, Z):
+        ijk = self._ijk(X, Y, Z)
+        return tuple(g[ijk][..., None] for g in (self._gx, self._gy, self._gz))
 
-    def grad_x(self, x, y, z) -> np.ndarray:
-        return np.array([self._gx[self._at(x, y, z)]])
-
-    def grad_y(self, x, y, z) -> np.ndarray:
-        return np.array([self._gy[self._at(x, y, z)]])
-
-    def grad_z(self, x, y, z) -> np.ndarray:
-        return np.array([self._gz[self._at(x, y, z)]])
-
-    def hessian_blocks(self, x, y, z):
-        ijk = self._at(x, y, z)
-        return (np.array([[self._gxy[ijk]]]),
-                np.array([[self._gxz[ijk]]]),
-                np.array([[self._gyz[ijk]]]))
+    def _hess(self, X, Y, Z):
+        ijk = self._ijk(X, Y, Z)
+        return tuple(g[ijk][..., None, None]
+                     for g in (self._gxy, self._gxz, self._gyz))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "values": self.values.tolist(),
@@ -813,6 +809,13 @@ def _nonsingular(mat) -> np.ndarray:
     return a
 
 
+def _reduced_matrix(A, B, C) -> np.ndarray:
+    """M = P + Pᵀ with P = Cᵀ A⁻¹ B; SingularBlock when A fails the
+    relative singularity threshold."""
+    P = C.T @ np.linalg.inv(_nonsingular(A)) @ B
+    return P + P.T
+
+
 @dataclass(frozen=True, eq=False)
 class CrossCheck:
     """Reduced n×n comparison matrix M = D²zy[D²xy]⁻¹D²xz + D²zx[D²yx]⁻¹D²yz
@@ -893,14 +896,12 @@ def signature(s: SurplusModel, x, y, z, cross_check: bool = True) -> SignatureRe
     else:
         A, B, C = blocks
         try:
-            a_inv = np.linalg.inv(_nonsingular(A))
+            M = _reduced_matrix(A, B, C)
             for blk in (B, C):
                 _nonsingular(blk)
         except SingularBlock as exc:
             skipped = f"singular block: {exc}"
         else:
-            P = C.T @ a_inv @ B
-            M = P + P.T
             m_eigs = np.linalg.eigvalsh(M)
             r_pos, r_neg, r_zero, _ = classify_eigenvalues(m_eigs)
             consistent = (n_pos == nx + r_neg and n_neg == nx + r_pos

@@ -15,6 +15,7 @@ from hedonic_match.diagnostics import (
     SizeMismatch,
     TooFewPoints,
     TwistReport,
+    _cluster_by_gradient,
     check_compatibility_1d,
     check_purity,
     check_strictly_hedonic,
@@ -249,6 +250,21 @@ def test_compatibility_degenerate_cross():
         check_compatibility_1d(s, [([0.5], [0.5], [0.5])])
 
 
+def test_compatibility_first_bad_point_decides():
+    # s = xyz: s_xy = z, s_xz = y, s_yz = x, so x = 0 is degenerate and
+    # y < 0 fails; whichever comes first decides the outcome
+    s = Supermodular1DSurplus((1, 1, 1))
+    good = ([1.0], [1.0], [1.0])
+    failing = ([1.0], [-2.0], [1.0])
+    degenerate = ([0.0], [1.0], [1.0])
+    rep = check_compatibility_1d(s, [good, failing, degenerate])
+    assert rep.verdict == "fails"
+    assert rep.witness == {"point": [1.0, -2.0, 1.0], "product": -2.0}
+    assert rep.details == {"n_samples": 3}
+    with pytest.raises(DegenerateCross):
+        check_compatibility_1d(s, [good, degenerate, failing])
+
+
 def test_compatibility_zero_product_fails():
     # s = xy + yz has s_xz ≡ 0: the product is 0, not strictly positive
     s = BilinearSurplus(A=[[1.0]], B=[[0.0]], C=[[1.0]])
@@ -362,6 +378,56 @@ def test_splitting_V_length_check(plane):
                               plane.nu.points, plane.z_points)
 
 
+def test_splitting_sets_match_a_per_slice_reference():
+    # a reference that takes one slice and one member at a time
+    for seed, family in enumerate(("supermodular", "counterexample", "bilinear",
+                                   "expcos")):
+        inst = random_instance(seed, n=8, nz=5, family=family)
+        s, X, Y, Z = inst.surplus, inst.mu.points, inst.nu.points, inst.z_points
+        V = solve_hybrid(s, inst.mu, inst.nu, Z).potentials.V
+        samples, _ = sample_splitting_sets(s, X, V, Y, Z)
+        for ix, sample in enumerate(samples):
+            delta = np.array([[s.value(X[ix], y, z) - V[j] for z in Z]
+                              for j, y in enumerate(Y)])
+            shift = float(np.max(delta))
+            members = np.argwhere(delta >= shift - sample.tol)
+            assert sample.shift == shift
+            assert sample.member_indices == tuple(map(tuple, members.tolist()))
+            for (j, k), g in zip(sample.member_indices, sample.gradients):
+                assert g.tobytes() == s.grad_x(X[ix], Y[j], Z[k]).tobytes()
+
+
+def _closure_by_brute_force(grads, tol):
+    n = len(grads)
+    near = [[float(np.max(np.abs(grads[a] - grads[b]))) <= tol for b in range(n)]
+            for a in range(n)]
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if near[a][b] and label[b] > label[a]:
+                    label[b] = label[a]
+                    changed = True
+    groups = {}
+    for a in range(n):
+        groups.setdefault(label[a], []).append(a)
+    return [groups[r] for r in sorted(groups)]
+
+
+def test_gradient_clusters_are_the_transitive_closure():
+    # a ~ b and b ~ c but a !~ c: all three share one cluster
+    chained = np.array([[0.0], [0.6], [1.2], [5.0]])
+    assert _cluster_by_gradient(chained, 0.7) == [[0, 1, 2], [3]]
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n, d = rng.integers(1, 30), rng.integers(1, 3)
+        grads = rng.integers(0, 6, (n, d)) * 0.5
+        tol = float(rng.choice([0.0, 0.5, 1.0]))
+        assert _cluster_by_gradient(grads, tol) == _closure_by_brute_force(grads, tol)
+
+
 # --- strictly hedonic -------------------------------------------------------
 
 def test_strictly_hedonic_holds_on_interior_model():
@@ -409,6 +475,36 @@ def test_strictly_hedonic_boundary_argmax_inconclusive():
     zs = GridSpec(0.0, 1.0, 5).points()
     rep = check_strictly_hedonic(u, v, xs, xs, zs)
     assert rep.verdict == "inconclusive"
+
+
+def test_strictly_hedonic_component_pair_and_full_model_agree():
+    z_nodes = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+    p_nodes = np.array([0.25, 0.5, 0.75])
+    u_collide = TabulatedComponent(p_nodes[:, None] * z_nodes[None, :] ** 2,
+                                   p_nodes, z_nodes)
+    # D_p u = g(z) with g = (1, 0, 1, 2, 1): z_1 collides with z_3 and z_5,
+    # and the first pair found is the witness
+    g = np.array([1.0, 0.0, 1.0, 2.0, 1.0])
+    u_multi = TabulatedComponent(p_nodes[:, None] * g[None, :], p_nodes, z_nodes)
+    cases = [
+        (BilinearComponent([[1.0]], Dz=[[-1.0]]), BilinearComponent([[1.0]]),
+         GridSpec(0.25, 0.75, 3).points(), GridSpec(0.0, 1.0, 9).points()),
+        (u_collide, BilinearComponent([[1.0]], Dz=[[-1.0]]),
+         p_nodes[:, None], z_nodes[:, None]),
+        (BilinearComponent([[1.0]]), BilinearComponent([[1.0]]),
+         GridSpec(0.25, 0.75, 3).points(), GridSpec(0.0, 1.0, 5).points()),
+        (u_multi, BilinearComponent([[1.0]], Dz=[[-1.0]]),
+         p_nodes[:, None], z_nodes[:, None]),
+    ]
+    reports = []
+    for u, v, xs, zs in cases:
+        pair = check_strictly_hedonic(u, v, xs, xs, zs)
+        full = check_strictly_hedonic(StrictlyHedonicSurplus(u, v), None, xs, xs, zs)
+        assert pair.to_dict() == full.to_dict()
+        reports.append(pair)
+    assert [r.verdict for r in reports] == ["holds", "fails", "inconclusive", "fails"]
+    assert reports[3].witness["z_a"] == [-0.5]
+    assert reports[3].witness["z_b"] == [0.0]
 
 
 def test_strictly_hedonic_full_model_and_misuse():

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from hedonic_match import surplus
 from hedonic_match.diagnostics import check_tss_bilinear, check_tzss_bilinear
 from hedonic_match.surplus import (
     BilinearComponent,
@@ -72,6 +75,77 @@ def test_value_batch_and_grid_match_scalar_exactly():
         batch = s.value_batch(X[:3], Y[:3], Z[:3])
         for t in range(3):
             assert batch[t] == s.value(X[t], Y[t], Z[t])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_derivative_kernels_match_scalar_methods_bitwise():
+    # the diagnostics read gradients and Hessian blocks from batch and grid
+    # calls; they must round exactly like the one-point methods
+    rng = np.random.default_rng(13)
+    for s in _families():
+        X, Y, Z = _draw(rng, s, 4, "x"), _draw(rng, s, 3, "y"), _draw(rng, s, 5, "z")
+        grid = (X[:, None, None], Y[None, :, None], Z[None, None, :])
+        grads, blocks = s._grad(*grid), s._hess(*grid)
+        rows = s._grad(X[:3], Y[:3], Z[:3]), s._hess(X[:3], Y[:3], Z[:3])
+        v_z = s._grad_v_z(Y[:, None], Z[None, :]) if s.has_uv else None
+        for i, j, k in np.ndindex(4, 3, 5):
+            x, y, z = X[i], Y[j], Z[k]
+            scalar = ((s.grad_x(x, y, z), s.grad_y(x, y, z), s.grad_z(x, y, z)),
+                      s.hessian_blocks(x, y, z))
+            for got, want in zip(grads + blocks, scalar[0] + scalar[1]):
+                assert _same_bits(got[i, j, k], want)
+            if v_z is not None:
+                assert _same_bits(v_z[j, k], s.grad_v_z(x, y, z))
+        for t in range(3):
+            x, y, z = X[t], Y[t], Z[t]
+            scalar = (s.grad_x(x, y, z), s.grad_y(x, y, z), s.grad_z(x, y, z),
+                      *s.hessian_blocks(x, y, z))
+            for got, want in zip(rows[0] + rows[1], scalar):
+                assert _same_bits(got[t], want)
+
+
+def test_component_kernels_match_scalar_methods_bitwise():
+    comps = [c for s in _families() if isinstance(s, StrictlyHedonicSurplus)
+             for c in (s.u, s.v)]
+    comps.append(TabulatedComponent(np.random.default_rng(1).normal(size=(4, 5)),
+                                    [0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.4, 0.6, 0.8]))
+    rng = np.random.default_rng(17)
+    for c in comps:
+        if isinstance(c, TabulatedComponent):
+            P, Z = rng.choice(c.p_nodes, (4, 1)), rng.choice(c.z_nodes, (6, 1))
+        else:
+            dp, dz = c.dims
+            P, Z = rng.uniform(-1.0, 1.0, (4, dp)), rng.uniform(-1.0, 1.0, (6, dz))
+        gp, gz = c._grad(P[:, None], Z[None, :])
+        h = c._hess(P[:, None], Z[None, :])
+        for i, k in np.ndindex(4, 6):
+            assert _same_bits(gp[i, k], c.grad_p(P[i], Z[k]))
+            assert _same_bits(gz[i, k], c.grad_z(P[i], Z[k]))
+            assert _same_bits(h[i, k], c.hess_pz(P[i], Z[k]))
+
+
+def test_every_family_derives_its_derivatives_from_kernels():
+    # scalar per-family derivative code must not come back: each concrete
+    # model supplies the three kernels and inherits the public methods
+    models = [cls for _, cls in inspect.getmembers(surplus, inspect.isclass)
+              if issubclass(cls, surplus.SurplusModel)
+              and cls is not surplus.SurplusModel]
+    assert len(models) >= 6
+    for cls in models:
+        for name in ("_kernel", "_grad", "_hess"):
+            assert name in vars(cls), f"{cls.__name__} lacks {name}"
+        for name in ("value", "grad_x", "grad_y", "grad_z", "hessian_blocks",
+                     "grad_v_z"):
+            assert name not in vars(cls), f"{cls.__name__} overrides {name}"
+    for cls in (surplus.BilinearComponent, surplus.TabulatedComponent):
+        for name in ("_kernel", "_grad", "_hess"):
+            assert name in vars(cls), f"{cls.__name__} lacks {name}"
+        for name in ("value", "grad_p", "grad_z", "hess_pz"):
+            assert name not in vars(cls), f"{cls.__name__} overrides {name}"
 
 
 def _fd_grad(fn, p, h=1e-5):
