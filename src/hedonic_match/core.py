@@ -20,6 +20,12 @@ SOLVER_MARGINAL_TOL = 1e-9
 AXIS_ORDER = "xyz"
 
 
+def grid_scale(grid: np.ndarray) -> float:
+    """The scale that relative tolerances refer to: the range max − min of
+    a reward or surplus grid, or its largest magnitude when it is constant."""
+    return float(np.ptp(grid)) or float(np.abs(grid).max())
+
+
 class ValidationError(ValueError):
     """Base class for input-contract violations."""
 

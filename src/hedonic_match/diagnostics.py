@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Coupling, DualPotentials, ValidationError, as_point_array
+from .core import Coupling, DualPotentials, ValidationError, as_point_array, grid_scale
 from .reduction import reduce
 from .surplus import (
     MissingUV,
@@ -22,6 +22,7 @@ from .surplus import (
     signature,
 )
 
+# a fraction of the grid's range in verify_stability; absolute elsewhere
 STABILITY_TOL = 1e-8
 MASS_THRESHOLD = 1e-12
 EIG_REL_TOL = 1e-10
@@ -79,7 +80,8 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     For arity-2 couplings pass the reward matrix; for arity 3 the surplus
     model.  A fixed-alpha solve carries a third potential W over goods;
     passing it checks U + V + W ≥ s instead.  Stability is equivalent to LP
-    optimality of the coupling.
+    optimality of the coupling.  tol is a fraction of the checked grid's
+    scale (its range max − min); the report gives it in absolute units.
     """
     U, V = potentials.U, potentials.V
     if U.size != coupling.mu.size or V.size != coupling.nu.size:
@@ -91,7 +93,9 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
         raise SizeMismatch("a good potential needs an arity-3 coupling")
     if coupling.arity == 3:
         residual = surplus_or_cost.value_grid(
-            coupling.mu.points, coupling.nu.points, coupling.z_points) - U[:, None, None]
+            coupling.mu.points, coupling.nu.points, coupling.z_points)
+        scale = grid_scale(residual)
+        residual -= U[:, None, None]
         residual -= V[None, :, None]
         if z_potential is not None:
             W = np.asarray(z_potential, dtype=float).reshape(-1)
@@ -117,6 +121,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
                 f"reward shape {grid.shape}, expected "
                 f"({coupling.mu.size}, {coupling.nu.size})"
             )
+        scale = grid_scale(grid)
         residual = grid - U[:, None] - V[None, :]
         worst_flat = int(np.argmax(residual))
         wi, wj = np.unravel_index(worst_flat, residual.shape)
@@ -132,11 +137,11 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
 
     max_grid = float(np.max(residual))
     max_support = float(np.max(np.abs(support_res))) if support_res.size else 0.0
-    stable = max_grid <= tol and max_support <= tol
+    tol = tol * scale
     return StabilityReport(
         max_grid_residual=max_grid,
         max_support_residual=max_support,
-        stable=stable,
+        stable=max_grid <= tol and max_support <= tol,
         worst_triple=worst,
         tol=tol,
     )

@@ -7,8 +7,10 @@ compare genuinely different code paths:
   (northwest-corner start, largest-reduced-cost entering cell, Cunningham's
   strongly feasible leaving rule, potentials updated on the re-hung subtree
   only), used by the reduce-then-lift route;
-- a dense two-phase revised simplex with Bland's rule over the explicit
-  constraint matrix, used by the direct three-index LPs.
+- a revised simplex over the cells (i, j, k) of the surplus grid (Dantzig
+  pricing over the grid, Bland's rule after a run of degenerate pivots, B⁻¹
+  by rank-one updates, a feasible start and no phase 1), used by the direct
+  three-index LPs.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
 support-based diagnostics stay meaningful.
@@ -30,16 +32,23 @@ from .core import (
     SOLVER_MARGINAL_TOL,
     ValidationError,
     as_point_array,
+    grid_scale,
     project,
 )
 from .reduction import ReducedSurplus, reduce
 
-# The transport simplex scales ENTER_TOL and DEGEN_TOL by the reward range;
-# the revised simplex uses them as absolute bounds.
+# ENTER_TOL and DEGEN_TOL are fractions of the reward range; RATIO_TOL and
+# MASS_CLAMP are on the unit-mass scale.
 ENTER_TOL = 1e-11
 DEGEN_TOL = 1e-9
 RATIO_TOL = 1e-11
 MASS_CLAMP = 1e-9
+# three-index simplex: degenerate pivots in a row per row of B before Bland's
+# rule, pivots between refactorisations, and the bytes it may allocate
+DEGEN_RUN = 20
+REFACTOR_EVERY = 50
+LP_BYTES_LIMIT = 1 << 30
+DRIFT_TOL = 1e-9  # max_over_alpha's largest gap, a fraction of the range
 
 
 class SolverInfeasible(RuntimeError):
@@ -313,188 +322,129 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
     )
 
 
-# --- dense two-phase revised simplex ----------------------------------------
+# --- implicit-column simplex (three-index) ----------------------------------
+#
+# Columns are the cells (i, j, k), flat index (i * ny + j) * nz + k.  Rows are
+# every X row, Y rows 0..ny-2 and, with a prescribed alpha, Z rows 0..nz-2
+# (the last ones follow from the total mass).  No column is ever stored.
 
-def _simplex_phase(A_ext, b, cost, basis, allowed, enter_tol, ratio_tol,
-                   max_iter):
-    """Run Bland-rule pivots until no allowed column prices out positive.
+def _cell_rows(t: int, shape: tuple, fixed: bool) -> list[int]:
+    """The constraint rows of flat cell t."""
+    nx, ny, nz = shape
+    i, rest = divmod(t, ny * nz)
+    j, k = divmod(rest, nz)
+    rows = [i]
+    if j < ny - 1:
+        rows.append(nx + j)
+    if fixed and k < nz - 1:
+        rows.append(nx + ny - 1 + k)
+    return rows
 
-    basis is a list of column indices (one per row); allowed is the sorted
-    array of columns permitted to enter.  Returns (basis, iterations).
+
+def _cell_simplex(grid: np.ndarray, rhs: np.ndarray, basis: list[int],
+                  fixed: bool, scale: float):
+    """Primal revised simplex over the cells of grid (maximization), from a
+    feasible basis of one cell per row (m rows), which it updates in place.
+
+    Prices every cell in one pass of grid − U − V (− W) into a reused buffer,
+    basic cells masked.  Enters the largest reduced cost (first flat index on
+    ties), or after DEGEN_RUN·m degenerate pivots in a row the first cell
+    that prices out (Bland) until mass moves, so it cannot cycle.  Leaves the
+    smallest ratio, the smallest cell on ties.  B⁻¹ is updated by rank one
+    and refactorised every REFACTOR_EVERY pivots and before stopping.
+    Tolerances on reduced costs are fractions of scale, the grid's range.
+
+    Returns (x, y, iterations, degenerate_flag): every cell's mass, flat, in
+    the pricing buffer, and the row duals.
     """
-    iterations = 0
+    nx, ny, _ = grid.shape
+    flat = grid.reshape(-1)
+    m = len(basis)
+    enter_tol = ENTER_TOL * scale
+
+    def factor():
+        B = np.zeros((m, m))
+        for r, t in enumerate(basis):
+            B[_cell_rows(t, grid.shape, fixed), r] = 1.0
+        return (np.linalg.inv(B), np.linalg.solve(B, rhs),
+                np.linalg.solve(B.T, flat[basis]))
+
+    Binv, xB, y = factor()
+    assert xB.min() >= -MASS_CLAMP, "start is not feasible"
+
+    iterations = since_factor = degenerate_run = 0
+    max_iter = 5000 + 50 * flat.size
+    red = np.empty_like(grid)
+    red_flat = red.reshape(-1)
     while True:
-        B = A_ext[:, basis]
-        xB = np.linalg.solve(B, b)
-        y = np.linalg.solve(B.T, cost[np.array(basis)])
-        red = cost[allowed] - A_ext[:, allowed].T @ y
-        in_basis = np.isin(allowed, basis)
-        cand = np.flatnonzero((red > enter_tol) & ~in_basis)
-        if cand.size == 0:
-            return basis, iterations
-        enter = int(allowed[cand[0]])
-        d = np.linalg.solve(B, A_ext[:, enter])
-        pos = np.flatnonzero(d > ratio_tol)
-        if pos.size == 0:
-            raise RuntimeError("LP appears unbounded; constraint matrix is broken")
-        ratios = xB[pos] / d[pos]
-        theta = float(ratios.min())
-        ties = pos[ratios <= theta + 1e-12 * (1.0 + abs(theta))]
-        basis_arr = np.array(basis)
-        leave_row = int(ties[np.argmin(basis_arr[ties])])
-        basis[leave_row] = enter
+        np.subtract(grid, y[:nx, None, None], out=red)
+        red[:, :ny - 1] -= y[nx:nx + ny - 1, None]
+        if fixed:
+            red[:, :, :-1] -= y[nx + ny - 1:]
+        red_flat[basis] = -np.inf
+        if degenerate_run < DEGEN_RUN * m:
+            t = int(np.argmax(red_flat))
+        else:
+            t = int(np.argmax(red_flat > enter_tol))
+        if red_flat[t] <= enter_tol:
+            if since_factor == 0:
+                break
+            Binv, xB, y = factor()
+            since_factor = 0
+            continue
         iterations += 1
         if iterations > max_iter:
-            raise PivotBudgetExceeded("revised simplex exceeded its pivot budget")
+            raise PivotBudgetExceeded("three-index simplex exceeded its pivot budget")
 
+        d = Binv[:, _cell_rows(t, grid.shape, fixed)].sum(axis=1)
+        pos = np.flatnonzero(d > RATIO_TOL)
+        if pos.size == 0:
+            raise RuntimeError("LP appears unbounded; a basis column is broken")
+        ratios = xB[pos] / d[pos]
+        theta = max(float(ratios.min()), 0.0)
+        ties = pos[ratios <= theta + 1e-12 * (1.0 + theta)]
+        r = int(ties[np.argmin(np.array(basis)[ties])])
+        xB -= theta * d
+        xB[r] = theta
+        pivot_row = Binv[r] / d[r]
+        Binv -= np.outer(d, pivot_row)
+        Binv[r] = pivot_row
+        basis[r] = t
+        y = flat[basis] @ Binv
+        degenerate_run = degenerate_run + 1 if theta <= RATIO_TOL else 0
+        since_factor += 1
+        if since_factor == REFACTOR_EVERY:
+            Binv, xB, y = factor()
+            since_factor = 0
 
-def _revised_simplex_max(A, b, c, warm_basis=None,
-                         enter_tol: float = ENTER_TOL,
-                         degen_tol: float = DEGEN_TOL,
-                         ratio_tol: float = RATIO_TOL):
-    """Maximize cᵀx s.t. Ax = b, x ≥ 0 (b ≥ 0, A full row rank).
-
-    Returns (x, y, iterations, degenerate_flag).  warm_basis (a list of
-    column indices) skips phase 1 when it factors cleanly; otherwise an
-    artificial phase-1 start is used.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    m, n = A.shape
-    if b.size != m or c.size != n:
-        raise DimensionMismatch("A, b, c sizes disagree")
-    if np.any(b < 0):
-        raise ValidationError("rhs must be nonnegative")
-    A_ext = np.hstack([A, np.eye(m)])
-    cost_ext = np.concatenate([c, np.zeros(m)])
-    real_cols = np.arange(n)
-    iterations = 0
-
-    basis = None
-    if warm_basis is not None and len(warm_basis) == m:
-        trial = [int(t) for t in warm_basis]
-        try:
-            xB = np.linalg.solve(A_ext[:, trial], b)
-            residual = float(np.max(np.abs(A_ext[:, trial] @ xB - b)))
-            if residual <= 1e-9 and float(xB.min()) >= -1e-9:
-                basis = trial
-        except np.linalg.LinAlgError:
-            basis = None
-
-    if basis is None:
-        basis = list(range(n, n + m))
-        cost1 = np.zeros(n + m)
-        cost1[n:] = -1.0
-        basis, it1 = _simplex_phase(A_ext, b, cost1, basis, real_cols,
-                                    enter_tol, ratio_tol, 5000 + 50 * n)
-        iterations += it1
-        xB = np.linalg.solve(A_ext[:, basis], b)
-        infeas = float(sum(max(0.0, xB[r]) for r, v in enumerate(basis) if v >= n))
-        if infeas > 1e-9:
-            raise InfeasibleMarginals(
-                f"phase-1 residual {infeas:.3e}; marginals are inconsistent"
-            )
-        # drive zero-level artificials out of the basis
-        for r in range(m):
-            if basis[r] < n:
-                continue
-            B = A_ext[:, basis]
-            w = np.linalg.solve(B.T, np.eye(m)[r])
-            replaced = False
-            for j in range(n):
-                if j in basis:
-                    continue
-                if abs(float(w @ A[:, j])) > 1e-9:
-                    basis[r] = j
-                    replaced = True
-                    break
-            if not replaced:
-                raise RuntimeError(
-                    "artificial variable stuck in basis; redundant row not dropped"
-                )
-
-    basis, it2 = _simplex_phase(A_ext, b, cost_ext, basis, real_cols,
-                                enter_tol, ratio_tol, 5000 + 50 * n)
-    iterations += it2
-
-    B = A_ext[:, basis]
-    xB = np.linalg.solve(B, b)
-    y = np.linalg.solve(B.T, cost_ext[np.array(basis)])
-    x = np.zeros(n)
-    for r, v in enumerate(basis):
-        if v < n:
-            x[v] = xB[r]
-    if float(x.min()) < -MASS_CLAMP:
-        raise RuntimeError(f"negative primal value {x.min():.3e} at optimum")
-    x = np.maximum(x, 0.0)
-    red = c - A.T @ y
-    nonbasic = np.setdiff1d(real_cols, np.array(basis), assume_unique=False)
-    degenerate = bool(np.any(red[nonbasic] >= -degen_tol)) if nonbasic.size else False
-    return x, y, iterations, degenerate
-
-
-# --- hybrid and tripartite solves -------------------------------------------
-
-def _direct_constraints(nx: int, ny: int, nz: int, keep_alpha: bool):
-    """Equality rows for the three-index LP with redundant rows dropped.
-
-    Rows: all nx X-marginal rows, the first ny-1 Y rows, and (only with a
-    prescribed alpha) the first nz-1 Z rows.
-    """
-    n_vars = nx * ny * nz
-    t = np.arange(n_vars)
-    i_of = t // (ny * nz)
-    j_of = (t // nz) % ny
-    k_of = t % nz
-    m_rows = nx + (ny - 1) + ((nz - 1) if keep_alpha else 0)
-    A = np.zeros((m_rows, n_vars))
-    A[i_of, t] = 1.0
-    mask = j_of < ny - 1
-    A[nx + j_of[mask], t[mask]] = 1.0
-    if keep_alpha:
-        mask = k_of < nz - 1
-        A[nx + ny - 1 + k_of[mask], t[mask]] = 1.0
-    return A
+    degenerate = bool(red.max() >= -DEGEN_TOL * scale)
+    if float(xB.min()) < -MASS_CLAMP:
+        raise RuntimeError(f"negative primal value {xB.min():.3e} at optimum")
+    red_flat.fill(0.0)
+    red_flat[basis] = np.maximum(xB, 0.0)
+    return red_flat, y, iterations, degenerate
 
 
 def _greedy_tripartite_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                              ny: int, nz: int) -> list[int]:
-    """Northwest-style greedy path through the 3-index array; returns
-    variable indices for a candidate starting basis of size nx+ny+nz-2.
+    """Northwest-style greedy path through the 3-index array: a feasible
+    basis of nx+ny+nz-2 cells, each one step along one axis from the last,
+    the first axis whose mass ran out or else the first that can move.
     """
-    nx = a.size
-    ra = a.astype(float).copy()
-    rb = b.astype(float).copy()
-    rc = c.astype(float).copy()
-    i = j = k = 0
+    rem = [w.astype(float) for w in (a, b, c)]
+    last = [a.size - 1, ny - 1, nz - 1]
+    pos = [0, 0, 0]
     cols: list[int] = []
-    for _ in range(nx + ny + nz - 2):
-        take = min(ra[i], rb[j], rc[k])
+    while True:
+        i, j, k = pos
+        take = min(rem[0][i], rem[1][j], rem[2][k])
         cols.append((i * ny + j) * nz + k)
-        ra[i] -= take
-        rb[j] -= take
-        rc[k] -= take
-        if (i, j, k) == (nx - 1, ny - 1, nz - 1):
-            break
-        state = [(ra[i], i, nx - 1), (rb[j], j, ny - 1), (rc[k], k, nz - 1)]
-        axis = None
-        for ax, (rem, pos, last) in enumerate(state):
-            if pos < last and rem == 0.0:
-                axis = ax
-                break
-        if axis is None:
-            for ax, (rem, pos, last) in enumerate(state):
-                if pos < last:
-                    axis = ax
-                    break
-        if axis == 0:
-            i += 1
-        elif axis == 1:
-            j += 1
-        else:
-            k += 1
-    return cols
+        for ax in range(3):
+            rem[ax][pos[ax]] -= take
+        movable = [ax for ax in range(3) if pos[ax] < last[ax]]
+        if not movable:
+            return cols
+        pos[next((ax for ax in movable if rem[ax][pos[ax]] == 0.0), movable[0])] += 1
 
 
 def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray,
@@ -506,16 +456,86 @@ def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray,
     return [(i * ny + j) * nz + int(np.argmax(grid[i, j])) for (i, j) in cells]
 
 
-def _coupling_from_flat(x: np.ndarray, mu, nu, z_pts, alpha, ny: int, nz: int):
-    entries = []
-    for t in np.flatnonzero(x > 0.0):
-        k = int(t) % nz
-        j = (int(t) // nz) % ny
-        i = int(t) // (ny * nz)
-        entries.append((i, j, k, float(x[t])))
-    return Coupling.from_entries(entries, mu, nu, z_points=z_pts, alpha=alpha,
-                                 marginal_tol=SOLVER_MARGINAL_TOL)
+def _lift_basis(lifted: SolveResult, nz: int) -> list[int]:
+    """A fixed-alpha basis through a reduce_lift optimum.
 
+    The matched pairs (a forest: the optimum is a vertex) are joined into a
+    spanning tree by pairs of row 0 and of column 0, each at its pair's
+    lifted good; then (i0, j0, k) for every other good k, where (i0, j0) is
+    the first matched pair, completes the Z rows.
+    """
+    nx, ny = lifted.coupling.mu.size, lifted.coupling.nu.size
+    best = lifted.reduction.argmax
+    root = list(range(nx + ny))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    pairs = [(int(i), int(j)) for i, j, _ in lifted.coupling.indices]
+    cells = []
+    for i, j in pairs + [(0, j) for j in range(ny)] + [(i, 0) for i in range(nx)]:
+        ri, rj = find(i), find(nx + j)
+        if ri != rj:
+            root[ri] = rj
+            cells.append((i * ny + j) * nz + int(best[i, j]))
+    i0, j0 = pairs[0]
+    k0 = int(best[i0, j0])
+    return cells + [(i0 * ny + j0) * nz + k for k in range(nz) if k != k0]
+
+
+def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
+                 alpha: DiscreteMeasure | None, start) -> tuple[SolveResult, float]:
+    """The free-z LP (alpha None) or the fixed-alpha LP from the basis
+    start(grid); returns the result and the grid's scale.  Raises TooLarge
+    before allocating when the grid, the pricing buffer, B and B⁻¹ would
+    exceed LP_BYTES_LIMIT.
+    """
+    nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
+    fixed = alpha is not None
+    weights = [mu.weights, nu.weights] + ([alpha.weights] if fixed else [])
+    m = nx + ny - 1 + (nz - 1 if fixed else 0)
+    need = 8 * (2 * nx * ny * nz + 2 * m * m)
+    if need > LP_BYTES_LIMIT:
+        raise TooLarge(
+            f"the {nx}x{ny}x{nz} LP needs about {need / 2**20:,.0f} MiB for its "
+            f"grid, pricing buffer, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+    totals = [float(np.sum(w)) for w in weights]
+    if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
+        raise InfeasibleMarginals("marginals carry different total mass")
+
+    grid = s.value_grid(mu.points, nu.points, z_pts)
+    scale = grid_scale(grid)
+    rhs = np.concatenate([mu.weights] + [w[:-1] for w in weights[1:]])
+    x, y, iterations, degen = _cell_simplex(grid, rhs, start(grid), fixed, scale)
+    U = y[:nx].copy()
+    V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
+    W = np.concatenate([y[nx + ny - 1:], [0.0]]) if fixed else None
+    shift = float(U.min())
+    U -= shift
+    V += shift
+    objective = float(grid.ravel() @ x)
+    dual_value = float(mu.weights @ U + nu.weights @ V
+                       + (alpha.weights @ W if fixed else 0.0))
+    cells = np.flatnonzero(x > 0.0)
+    entries = zip(*(t.tolist() for t in np.unravel_index(cells, grid.shape)),
+                  x[cells].tolist())
+    result = SolveResult(
+        coupling=Coupling.from_entries(entries, mu, nu, z_points=z_pts, alpha=alpha,
+                                       marginal_tol=SOLVER_MARGINAL_TOL),
+        objective=objective,
+        potentials=DualPotentials(U, V),
+        duality_gap=abs(objective - dual_value),
+        iterations=iterations,
+        degenerate_optimum=degen,
+        method="tripartite_fixed_alpha" if fixed else "direct_lp",
+        z_potential=W,
+    )
+    return result, scale
+
+
+# --- hybrid and tripartite solves -------------------------------------------
 
 def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
                  method: str = "reduce_lift") -> SolveResult:
@@ -523,9 +543,10 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
     good z chosen freely.
 
     reduce_lift: collapse z by reduce(), solve the bipartite problem on sbar,
-    then lift each matched pair to its selected z.  direct_lp: simplex on the
-    full three-index variables with only X and Y constraints.  The two routes
-    agree in objective (checked by the acceptance suite).
+    then lift each matched pair to its selected z.  direct_lp: the
+    implicit-column simplex on the full three-index variables with only X
+    and Y constraints.  The two routes agree in objective (checked by the
+    acceptance suite).
     """
     z_pts = as_point_array(zs)
     if method == "reduce_lift":
@@ -555,30 +576,9 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
         )
     if method != "direct_lp":
         raise ValidationError(f"unknown method {method!r}")
-
-    nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
-    grid = s.value_grid(mu.points, nu.points, z_pts)
-    A = _direct_constraints(nx, ny, nz, keep_alpha=False)
-    b = np.concatenate([mu.weights, nu.weights[:-1]])
-    warm = _bipartite_warm_columns(mu.weights, nu.weights, grid)
-    x, y, iterations, degen = _revised_simplex_max(A, b, grid.ravel(), warm)
-    U = y[:nx].copy()
-    V = np.concatenate([y[nx:], [0.0]])
-    shift = float(U.min())
-    U -= shift
-    V += shift
-    coupling = _coupling_from_flat(x, mu, nu, z_pts, None, ny, nz)
-    objective = float(grid.ravel() @ x)
-    dual_value = float(mu.weights @ U + nu.weights @ V)
-    return SolveResult(
-        coupling=coupling,
-        objective=objective,
-        potentials=DualPotentials(U, V),
-        duality_gap=abs(objective - dual_value),
-        iterations=iterations,
-        degenerate_optimum=degen,
-        method="direct_lp",
-    )
+    return _three_index(
+        s, mu, nu, z_pts, None,
+        lambda grid: _bipartite_warm_columns(mu.weights, nu.weights, grid))[0]
 
 
 def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -586,35 +586,10 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Maximize total surplus over couplings with all three marginals fixed;
     alpha's support supplies the z points.
     """
-    z_pts = alpha.points
-    nx, ny, nz = mu.size, nu.size, alpha.size
-    totals = [float(np.sum(w)) for w in (mu.weights, nu.weights, alpha.weights)]
-    if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
-        raise InfeasibleMarginals("marginals carry different total mass")
-    grid = s.value_grid(mu.points, nu.points, z_pts)
-    A = _direct_constraints(nx, ny, nz, keep_alpha=True)
-    b = np.concatenate([mu.weights, nu.weights[:-1], alpha.weights[:-1]])
-    warm = _greedy_tripartite_basis(mu.weights, nu.weights, alpha.weights, ny, nz)
-    x, y, iterations, degen = _revised_simplex_max(A, b, grid.ravel(), warm)
-    U = y[:nx].copy()
-    V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
-    W = np.concatenate([y[nx + ny - 1:], [0.0]])
-    shift = float(U.min())
-    U -= shift
-    V += shift
-    coupling = _coupling_from_flat(x, mu, nu, z_pts, alpha, ny, nz)
-    objective = float(grid.ravel() @ x)
-    dual_value = float(mu.weights @ U + nu.weights @ V + alpha.weights @ W)
-    return SolveResult(
-        coupling=coupling,
-        objective=objective,
-        potentials=DualPotentials(U, V),
-        duality_gap=abs(objective - dual_value),
-        iterations=iterations,
-        degenerate_optimum=degen,
-        method="tripartite_fixed_alpha",
-        z_potential=W,
-    )
+    return _three_index(
+        s, mu, nu, alpha.points, alpha,
+        lambda grid: _greedy_tripartite_basis(mu.weights, nu.weights,
+                                              alpha.weights, nu.size, alpha.size))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,13 +606,15 @@ class AlphaSearchResult:
 def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSearchResult:
     """Maximize over couplings and over the good-type marginal jointly.
 
-    Equivalent to the free-z hybrid problem; the induced alpha is read off
-    the optimal coupling and certified by re-solving with it prescribed.
+    Equivalent to the free-z hybrid problem, solved by reduce_lift; the
+    induced alpha is read off the optimal coupling and certified by
+    re-solving with it prescribed, starting from the free-z optimum.
     """
-    res = solve_hybrid(s, mu, nu, zs, method="direct_lp")
+    res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
     alpha = project(res.coupling, "z")
-    fixed = solve_tripartite_fixed_alpha(s, mu, nu, alpha)
-    if abs(fixed.objective - res.objective) > 1e-9:
+    fixed, scale = _three_index(s, mu, nu, alpha.points, alpha,
+                                lambda grid: _lift_basis(res, alpha.size))
+    if abs(fixed.objective - res.objective) > DRIFT_TOL * scale:
         raise RuntimeError(
             f"fixed-alpha re-solve drifted: {fixed.objective!r} vs {res.objective!r}"
         )

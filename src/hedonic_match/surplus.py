@@ -124,6 +124,15 @@ def _lead(*arrays) -> tuple:
     return np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
 
 
+def _sum_in_place(lead: tuple, *terms) -> np.ndarray:
+    """Σ terms left to right in one output array of the leading shape, so a
+    grid holds no second full-size temporary (a - b rounds as a + (-b))."""
+    out = np.add(terms[0], terms[1], out=np.empty(lead))
+    for term in terms[2:]:
+        out += term
+    return out
+
+
 def _broadcast(*arrays) -> tuple:
     """Point arrays broadcast to their common leading shape."""
     lead = _lead(*arrays)
@@ -287,10 +296,10 @@ class BilinearSurplus(SurplusModel):
         return self._dims
 
     def _kernel(self, X, Y, Z):
-        return (_pair(X, self.A, Y) + _pair(X, self.B, Z) + _pair(Y, self.C, Z)
-                + _pair(Z, self.D, Z)
-                + _poly_val(self.f, X) + _poly_val(self.g, Y)
-                + _poly_val(self.h, Z))
+        return _sum_in_place(_lead(X, Y, Z), _pair(X, self.A, Y), _pair(X, self.B, Z),
+                             _pair(Y, self.C, Z), _pair(Z, self.D, Z),
+                             _poly_val(self.f, X), _poly_val(self.g, Y),
+                             _poly_val(self.h, Z))
 
     def _grad(self, X, Y, Z):
         return (_mv(self.A, Y) + _mv(self.B, Z) + _poly_der(self.f, X),
@@ -393,10 +402,10 @@ class ExpCosSurplus(SurplusModel):
         x1, x2 = X[..., 0], X[..., 1]
         y1, y2 = Y[..., 0], Y[..., 1]
         z1, z2 = Z[..., 0], Z[..., 1]
-        return (np.exp(x1 + y1) * np.cos(x2 - y2)
-                + np.exp(x1 + z1) * np.cos(x2 - z2)
-                + np.exp(y1 + z1) * np.cos(z2 - y2)
-                - np.exp(2.0 * x1) - np.exp(2.0 * y1) - np.exp(2.0 * z1))
+        return _sum_in_place(_lead(X, Y, Z), np.exp(x1 + y1) * np.cos(x2 - y2),
+                             np.exp(x1 + z1) * np.cos(x2 - z2),
+                             np.exp(y1 + z1) * np.cos(z2 - y2),
+                             -np.exp(2.0 * x1), -np.exp(2.0 * y1), -np.exp(2.0 * z1))
 
     @staticmethod
     def _terms(X, Y, Z):

@@ -1,10 +1,12 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hedonic_match import surplus
 from hedonic_match.diagnostics import check_tss_bilinear, check_tzss_bilinear
+from hedonic_match.instances import random_instance
 from hedonic_match.surplus import (
     BilinearComponent,
     BilinearSurplus,
@@ -75,6 +77,20 @@ def test_value_batch_and_grid_match_scalar_exactly():
         batch = s.value_batch(X[:3], Y[:3], Z[:3])
         for t in range(3):
             assert batch[t] == s.value(X[t], Y[t], Z[t])
+
+
+@pytest.mark.parametrize("family", ["bilinear", "expcos"])
+def test_value_grid_holds_one_grid_at_peak(family):
+    # the kernels sum in place: the full-size grid is the only large array
+    inst = random_instance(0, n=300, nz=33, family=family)
+    tracemalloc.start()
+    try:
+        grid = inst.surplus.value_grid(inst.mu.points, inst.nu.points,
+                                       inst.z_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * grid.nbytes
 
 
 def _same_bits(a, b) -> bool:

@@ -1,0 +1,235 @@
+"""The three-index LPs (direct_lp, fixed alpha, max_over_alpha) and the
+stability check against sparse HiGHS, across scales, shifts, permutations
+and skewed weights."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
+
+from hedonic_match.core import Coupling, DiscreteMeasure, DualPotentials
+from hedonic_match.diagnostics import verify_stability
+from hedonic_match.instances import random_instance
+from hedonic_match.solver import (
+    TooLarge,
+    max_over_alpha,
+    solve_hybrid,
+    solve_tripartite_fixed_alpha,
+)
+from hedonic_match.surplus import SurplusModel
+
+# With absolute tolerances, direct_lp on seeds 1 and 2 stopped 30% and 73%
+# below the optimum at c = 1e-12 and the stability check called both stable;
+# at c = 1e8 seed 0's optimal coupling read unstable.
+SCALES = [(1e-12, 0.0), (1e-10, 0.0), (1e-6, 0.0), (1.0, 0.0), (1e6, 0.0),
+          (1e8, 0.0), (1e12, 0.0), (1.0, 1e6)]
+
+
+class _Affine(SurplusModel):
+    """c·s + t for a base model s; enough for value_grid."""
+
+    def __init__(self, base, c, t=0.0):
+        self.base, self.c, self.t = base, c, t
+
+    @property
+    def dims(self):
+        return self.base.dims
+
+    def _kernel(self, X, Y, Z):
+        return self.c * self.base._kernel(X, Y, Z) + self.t
+
+
+def _highs(grid, a, b, c=None):
+    """The three-index LP in sparse form (X and Y rows, and Z rows when c
+    is given), solved by HiGHS."""
+    nx, ny, nz = grid.shape
+    i, j, k = np.unravel_index(np.arange(grid.size), grid.shape)
+    rows = [i, nx + j] + ([nx + ny + k] if c is not None else [])
+    A_eq = coo_matrix((np.ones(len(rows) * grid.size),
+                       (np.concatenate(rows), np.tile(np.arange(grid.size), len(rows)))),
+                      shape=(nx + ny + (nz if c is not None else 0), grid.size))
+    b_eq = np.concatenate([a, b] + ([c] if c is not None else []))
+    res = linprog(-grid.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def _grid(inst, z_pts=None):
+    zs = inst.z_points if z_pts is None else z_pts
+    return inst.surplus.value_grid(inst.mu.points, inst.nu.points, zs)
+
+
+def _value(grid, coupling):
+    i, j, k = coupling.indices.T
+    return float(coupling.masses @ grid[i, j, k])
+
+
+def _dual_infeasibility(grid, res):
+    U, V = res.potentials.U, res.potentials.V
+    W = 0.0 if res.z_potential is None else res.z_potential[None, None, :]
+    return float(np.max(grid - U[:, None, None] - V[None, :, None] - W))
+
+
+def _skewed_alpha(inst, seed):
+    w = np.exp(2.0 * np.random.default_rng(seed).normal(size=inst.z_points.shape[0]))
+    return DiscreteMeasure(inst.z_points, w / w.sum())
+
+
+def _check_affine(res, inst, c, t, optimum, span):
+    """res solved c·s + t: its coupling is optimal for s, its objective is
+    c·optimum + t, its duals are feasible and it reads stable."""
+    base = _grid(inst, res.coupling.z_points)
+    assert _value(base, res.coupling) >= optimum - 1e-9 * span
+    assert abs(res.objective - (c * optimum + t)) <= 1e-9 * c * span
+    assert _dual_infeasibility(c * base + t, res) <= 1e-9 * c * span
+    rep = verify_stability(_Affine(inst.surplus, c, t), res.coupling,
+                           res.potentials, z_potential=res.z_potential)
+    assert rep.stable
+    assert rep.tol == pytest.approx(1e-8 * c * span, rel=1e-6)
+
+
+@pytest.mark.parametrize("c, t", SCALES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_direct_lp_is_optimal_at_every_scale(seed, c, t):
+    inst = random_instance(seed, n=12, nz=5, family="bilinear")
+    base = _grid(inst)
+    optimum = _highs(base, inst.mu.weights, inst.nu.weights)
+    res = solve_hybrid(_Affine(inst.surplus, c, t), inst.mu, inst.nu,
+                       inst.z_points, method="direct_lp")
+    _check_affine(res, inst, c, t, optimum, float(np.ptp(base)))
+
+
+@pytest.mark.parametrize("c, t", SCALES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_alpha_is_optimal_at_every_scale(seed, c, t):
+    inst = random_instance(seed, n=12, nz=5, family="bilinear")
+    alpha = _skewed_alpha(inst, seed)
+    base = _grid(inst)
+    optimum = _highs(base, inst.mu.weights, inst.nu.weights, alpha.weights)
+    res = solve_tripartite_fixed_alpha(_Affine(inst.surplus, c, t), inst.mu,
+                                       inst.nu, alpha)
+    np.testing.assert_allclose(res.coupling.marginal_weights("z"),
+                               alpha.weights, rtol=0, atol=1e-12)
+    _check_affine(res, inst, c, t, optimum, float(np.ptp(base)))
+
+
+@pytest.mark.parametrize("c, t", SCALES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_over_alpha_certifies_at_every_scale(seed, c, t):
+    inst = random_instance(seed, n=12, nz=5, family="bilinear")
+    base = _grid(inst)
+    span = float(np.ptp(base))
+    optimum = _highs(base, inst.mu.weights, inst.nu.weights)
+    search = max_over_alpha(_Affine(inst.surplus, c, t), inst.mu, inst.nu,
+                            inst.z_points)
+    fixed = search.fixed_alpha_result
+    assert abs(search.result.objective - (c * optimum + t)) <= 1e-9 * c * span
+    _check_affine(fixed, inst, c, t, optimum, span)
+    np.testing.assert_allclose(fixed.coupling.marginal_weights("z"),
+                               search.alpha.weights, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c, t", SCALES)
+def test_stability_verdicts_are_scale_free(c, t):
+    inst = random_instance(0, n=12, nz=5, family="bilinear")
+    s = _Affine(inst.surplus, c, t)
+    res = solve_hybrid(s, inst.mu, inst.nu, inst.z_points, method="direct_lp")
+    good = verify_stability(s, res.coupling, res.potentials)
+    assert good.stable
+    # the same duals against the optimum with every seller moved one index
+    # along: the grid inequality holds but support equality breaks
+    i, j, k = res.coupling.indices.T
+    moved = Coupling(np.stack([i, (j + 1) % inst.nu.size, k], axis=1),
+                     res.coupling.masses, inst.mu, inst.nu,
+                     z_points=inst.z_points)
+    bad = verify_stability(s, moved, res.potentials)
+    assert not bad.stable
+    assert bad.max_support_residual > 1e-3 * c * float(np.ptp(_grid(inst)))
+    # arity 2: the reduced rewards of the same solve
+    values = c * np.max(_grid(inst), axis=2) + t
+    lifted = solve_hybrid(s, inst.mu, inst.nu, inst.z_points)
+    pair = Coupling(lifted.coupling.indices[:, :2], lifted.coupling.masses,
+                    inst.mu, inst.nu)
+    assert verify_stability(values, pair, lifted.potentials).stable
+    zeros = DualPotentials(np.zeros(inst.mu.size), np.zeros(inst.nu.size))
+    assert not verify_stability(values - values.max(), pair, zeros).stable
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_answers_survive_permutations(seed):
+    inst = random_instance(seed, n=9, nz=6, family="bilinear")
+    rng = np.random.default_rng(seed)
+    wx, wy = np.exp(rng.normal(size=(2, 9)))
+    mu0 = DiscreteMeasure(inst.mu.points, wx / wx.sum())
+    nu0 = DiscreteMeasure(inst.nu.points, wy / wy.sum())
+    alpha = _skewed_alpha(inst, seed)
+    free = solve_hybrid(inst.surplus, mu0, nu0, inst.z_points, method="direct_lp")
+    fixed = solve_tripartite_fixed_alpha(inst.surplus, mu0, nu0, alpha)
+    px, py, pz = (rng.permutation(n) for n in (9, 9, alpha.size))
+    mu = DiscreteMeasure(mu0.points[px], mu0.weights[px])
+    nu = DiscreteMeasure(nu0.points[py], nu0.weights[py])
+    moved_alpha = DiscreteMeasure(alpha.points[pz], alpha.weights[pz])
+    span = float(np.ptp(_grid(inst)))
+    moved_free = solve_hybrid(inst.surplus, mu, nu, alpha.points[pz],
+                              method="direct_lp")
+    moved_fixed = solve_tripartite_fixed_alpha(inst.surplus, mu, nu, moved_alpha)
+    assert free.objective == pytest.approx(
+        _highs(_grid(inst), mu0.weights, nu0.weights), rel=1e-9)
+    assert abs(moved_free.objective - free.objective) <= 1e-12 * span
+    assert abs(moved_fixed.objective - fixed.objective) <= 1e-12 * span
+    search = max_over_alpha(inst.surplus, mu, nu, alpha.points[pz])
+    assert abs(search.result.objective - free.objective) <= 1e-12 * span
+
+
+@pytest.mark.parametrize("nx, ny, nz", [(8, 11, 4), (16, 12, 7), (30, 24, 9)])
+def test_skewed_weights_match_highs(nx, ny, nz):
+    rng = np.random.default_rng(nx * ny * nz)
+    inst = random_instance(nx, n=nx, nz=nz, family="counterexample")
+    wx = np.exp(2.0 * rng.normal(size=nx))
+    mu = DiscreteMeasure(inst.mu.points, wx / wx.sum())
+    ys = np.sort(rng.uniform(size=(ny, 1)), axis=0)
+    wy = np.geomspace(1.0, 1e-3, ny)
+    nu = DiscreteMeasure(ys, wy / wy.sum())
+    wz = np.geomspace(1e-4, 1.0, nz)
+    alpha = DiscreteMeasure(inst.z_points, wz / wz.sum())
+    grid = inst.surplus.value_grid(mu.points, nu.points, alpha.points)
+    span = float(np.ptp(grid))
+    for res, oracle in (
+            (solve_hybrid(inst.surplus, mu, nu, alpha.points, method="direct_lp"),
+             _highs(grid, mu.weights, nu.weights)),
+            (solve_tripartite_fixed_alpha(inst.surplus, mu, nu, alpha),
+             _highs(grid, mu.weights, nu.weights, alpha.weights))):
+        assert res.objective == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(res.coupling.marginal_weights("x"),
+                                   mu.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.coupling.marginal_weights("y"),
+                                   nu.weights, rtol=0, atol=1e-12)
+        assert _dual_infeasibility(grid, res) <= 1e-9 * span
+
+
+def test_max_over_alpha_bilinear_n24_is_fast():
+    # took 10,022 free-z and 32,542 fixed-alpha dense Bland pivots (28.6 s)
+    inst = random_instance(1, n=24, nz=9, family="bilinear")
+    search = max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    assert search.fixed_alpha_result.iterations < 2_000
+    assert search.fixed_alpha_result.objective == pytest.approx(
+        _highs(_grid(inst), inst.mu.weights, inst.nu.weights), rel=1e-9)
+
+
+def test_too_large_lp_is_refused_before_allocating():
+    big = DiscreteMeasure.uniform(np.linspace(0.0, 1.0, 20_000)[:, None])
+    inst = random_instance(0, family="bilinear")
+    alpha = DiscreteMeasure.uniform(np.linspace(0.0, 1.0, 10)[:, None])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="MiB"):
+            solve_hybrid(inst.surplus, big, big, alpha.points, method="direct_lp")
+        with pytest.raises(TooLarge, match="MiB"):
+            solve_tripartite_fixed_alpha(inst.surplus, big, big, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
