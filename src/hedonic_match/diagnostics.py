@@ -22,7 +22,7 @@ from .surplus import (
     signature,
 )
 
-# a fraction of the grid's range in verify_stability; absolute elsewhere
+# a fraction of the range of s in verify_stability and compute_prices, else absolute
 STABILITY_TOL = 1e-8
 MASS_THRESHOLD = 1e-12
 EIG_REL_TOL = 1e-10
@@ -234,7 +234,8 @@ def compute_prices(s, coupling: Coupling, potentials: DualPotentials,
     """Transfer prices on the support of a (stable) coupling.
 
     Needs a model that exposes u and v separately; on a stable support the
-    two formulas agree within tol, and the table records their difference.
+    two formulas agree within tol, a fraction of the range of s over the
+    support, and the table records their difference and tol in absolute units.
     """
     if not getattr(s, "has_uv", False):
         raise MissingUV("price recovery needs separate u and v")
@@ -243,6 +244,9 @@ def compute_prices(s, coupling: Coupling, potentials: DualPotentials,
     U, V = potentials.U, potentials.V
     if U.size != coupling.mu.size or V.size != coupling.nu.size:
         raise SizeMismatch("potentials sized inconsistently with the coupling")
+    i, j, k = coupling.indices.T
+    scale = grid_scale(s.value_batch(coupling.mu.points[i], coupling.nu.points[j],
+                                     coupling.z_points[k]))
     rows = []
     worst = 0.0
     for (i, j, k), w in zip(coupling.indices, coupling.masses):
@@ -260,7 +264,7 @@ def compute_prices(s, coupling: Coupling, potentials: DualPotentials,
             "i": i, "j": j, "k": k, "mass": float(w),
             "p_buyer": p_buyer, "p_seller": p_seller, "diff": diff,
         })
-    return PriceTable(rows=tuple(rows), max_discrepancy=worst, tol=tol)
+    return PriceTable(rows=tuple(rows), max_discrepancy=worst, tol=tol * scale)
 
 
 # --- twist checkers ---------------------------------------------------------

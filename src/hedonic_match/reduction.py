@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _fmt, as_point_array
+from .core import ValidationError, _fmt, as_point_array, grid_scale
 
-TIE_TOL = 1e-10
+TIE_TOL = 1e-10  # a fraction of the range of the reduced values
 
 
 class EmptyGrid(ValidationError):
@@ -29,7 +29,7 @@ class ReducedSurplus:
 
     values[i, j]   = max_k s(x_i, y_j, z_k), taken verbatim from the grid scan
     argmax[i, j]   = smallest k attaining the max
-    tie[i, j]      = another k comes within tie_tol of the max
+    tie[i, j]      = another k comes within tie_tol (absolute) of the max
     boundary[i, j] = the argmax z sits on the bounding box of the Z set
     """
 
@@ -76,9 +76,10 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
     """Maximize s over the Z set for every (x, y) pair.
 
     Ties resolve to the smallest z-index; the tie flag marks pairs where a
-    second index lands within tie_tol of the max.  The boundary flag marks
-    argmaxes on the bounding box of Z, where the discrete first-order
-    condition says nothing.
+    second index lands within tie_tol of the max; tie_tol is a fraction of
+    the reduced values' range, given in absolute units in the result.  The
+    boundary flag marks argmaxes on the bounding box of Z, where the discrete
+    first-order condition says nothing.
     """
     X = _require_points(xs, "X")
     Y = _require_points(ys, "Y")
@@ -86,6 +87,7 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
     grid = s.value_grid(X, Y, Z)
     best = np.argmax(grid, axis=2)
     values = np.take_along_axis(grid, best[:, :, None], axis=2)[:, :, 0]
+    tie_tol = tie_tol * grid_scale(values)
     near = grid >= (values[:, :, None] - tie_tol)
     tie = np.sum(near, axis=2) >= 2
     lo = Z.min(axis=0)

@@ -13,14 +13,15 @@ compare genuinely different code paths:
   three-index LPs.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
-support-based diagnostics stay meaningful.
+support-based diagnostics stay meaningful.  max_over_alpha certifies its
+fixed-alpha LP with neither: it checks the reduce_lift duals there.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +49,7 @@ MASS_CLAMP = 1e-9
 DEGEN_RUN = 20
 REFACTOR_EVERY = 50
 LP_BYTES_LIMIT = 1 << 30
-DRIFT_TOL = 1e-9  # max_over_alpha's largest gap, a fraction of the range
+DRIFT_TOL = 1e-9  # max_over_alpha's largest residual or gap, a fraction of the range
 
 
 class SolverInfeasible(RuntimeError):
@@ -456,41 +457,11 @@ def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray,
     return [(i * ny + j) * nz + int(np.argmax(grid[i, j])) for (i, j) in cells]
 
 
-def _lift_basis(lifted: SolveResult, nz: int) -> list[int]:
-    """A fixed-alpha basis through a reduce_lift optimum.
-
-    The matched pairs (a forest: the optimum is a vertex) are joined into a
-    spanning tree by pairs of row 0 and of column 0, each at its pair's
-    lifted good; then (i0, j0, k) for every other good k, where (i0, j0) is
-    the first matched pair, completes the Z rows.
-    """
-    nx, ny = lifted.coupling.mu.size, lifted.coupling.nu.size
-    best = lifted.reduction.argmax
-    root = list(range(nx + ny))
-
-    def find(u: int) -> int:
-        while root[u] != u:
-            u = root[u]
-        return u
-
-    pairs = [(int(i), int(j)) for i, j, _ in lifted.coupling.indices]
-    cells = []
-    for i, j in pairs + [(0, j) for j in range(ny)] + [(i, 0) for i in range(nx)]:
-        ri, rj = find(i), find(nx + j)
-        if ri != rj:
-            root[ri] = rj
-            cells.append((i * ny + j) * nz + int(best[i, j]))
-    i0, j0 = pairs[0]
-    k0 = int(best[i0, j0])
-    return cells + [(i0 * ny + j0) * nz + k for k in range(nz) if k != k0]
-
-
 def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
-                 alpha: DiscreteMeasure | None, start) -> tuple[SolveResult, float]:
+                 alpha: DiscreteMeasure | None, start) -> SolveResult:
     """The free-z LP (alpha None) or the fixed-alpha LP from the basis
-    start(grid); returns the result and the grid's scale.  Raises TooLarge
-    before allocating when the grid, the pricing buffer, B and B⁻¹ would
-    exceed LP_BYTES_LIMIT.
+    start(grid).  Raises TooLarge before allocating when the grid, the
+    pricing buffer, B and B⁻¹ would exceed LP_BYTES_LIMIT.
     """
     nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
     fixed = alpha is not None
@@ -521,7 +492,7 @@ def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
     cells = np.flatnonzero(x > 0.0)
     entries = zip(*(t.tolist() for t in np.unravel_index(cells, grid.shape)),
                   x[cells].tolist())
-    result = SolveResult(
+    return SolveResult(
         coupling=Coupling.from_entries(entries, mu, nu, z_points=z_pts, alpha=alpha,
                                        marginal_tol=SOLVER_MARGINAL_TOL),
         objective=objective,
@@ -532,7 +503,6 @@ def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
         method="tripartite_fixed_alpha" if fixed else "direct_lp",
         z_potential=W,
     )
-    return result, scale
 
 
 # --- hybrid and tripartite solves -------------------------------------------
@@ -578,7 +548,7 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
         raise ValidationError(f"unknown method {method!r}")
     return _three_index(
         s, mu, nu, z_pts, None,
-        lambda grid: _bipartite_warm_columns(mu.weights, nu.weights, grid))[0]
+        lambda grid: _bipartite_warm_columns(mu.weights, nu.weights, grid))
 
 
 def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -589,13 +559,13 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
     return _three_index(
         s, mu, nu, alpha.points, alpha,
         lambda grid: _greedy_tripartite_basis(mu.weights, nu.weights,
-                                              alpha.weights, nu.size, alpha.size))[0]
+                                              alpha.weights, nu.size, alpha.size))
 
 
 @dataclass(frozen=True, eq=False)
 class AlphaSearchResult:
     """Direct solve over free z together with the good-type distribution it
-    induces and the fixed-alpha re-solve at that distribution.
+    induces and the fixed-alpha certificate at that distribution.
     """
 
     result: SolveResult
@@ -607,17 +577,38 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     """Maximize over couplings and over the good-type marginal jointly.
 
     Equivalent to the free-z hybrid problem, solved by reduce_lift; the
-    induced alpha is read off the optimal coupling and certified by
-    re-solving with it prescribed, starting from the free-z optimum.
+    induced alpha is read off the optimal coupling.  Its certificate for the
+    LP with alpha prescribed needs no pivots: the reduce_lift duals (U, V)
+    and W = 0 must cover s on the whole grid and match the coupling's value,
+    which must match the free-z objective, each within DRIFT_TOL of the
+    grid's range, or RuntimeError.
     """
     res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
     alpha = project(res.coupling, "z")
-    fixed, scale = _three_index(s, mu, nu, alpha.points, alpha,
-                                lambda grid: _lift_basis(res, alpha.size))
-    if abs(fixed.objective - res.objective) > DRIFT_TOL * scale:
+    grid = s.value_grid(mu.points, nu.points, alpha.points)
+    scale = grid_scale(grid)
+    i, j, k = res.coupling.indices.T
+    primal = float(res.coupling.masses @ grid[i, j, k])
+    U, V = res.potentials.U, res.potentials.V
+    dual = float(mu.weights @ U + nu.weights @ V)
+    grid -= U[:, None, None]
+    grid -= V[None, :, None]
+    residual = float(grid.max())
+    grid[i, j, k] = -np.inf
+    fixed = SolveResult(
+        coupling=replace(res.coupling, alpha=alpha),
+        objective=primal,
+        potentials=res.potentials,
+        duality_gap=abs(primal - dual),
+        iterations=0,
+        degenerate_optimum=bool(grid.max() >= -DEGEN_TOL * scale),
+        method="tripartite_fixed_alpha",
+        z_potential=np.zeros(alpha.size),
+    )
+    if max(residual, abs(primal - res.objective), abs(primal - dual)) > DRIFT_TOL * scale:
         raise RuntimeError(
-            f"fixed-alpha re-solve drifted: {fixed.objective!r} vs {res.objective!r}"
-        )
+            f"fixed-alpha certificate failed: dual residual {residual!r}, primal "
+            f"{primal!r}, free-z {res.objective!r}, dual {dual!r}")
     return AlphaSearchResult(result=res, alpha=alpha, fixed_alpha_result=fixed)
 
 

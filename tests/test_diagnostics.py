@@ -213,6 +213,27 @@ def test_prices_with_u_equal_s():
             float(res.potentials.V[row["j"]]), abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+def test_price_tolerance_is_scale_free(c):
+    # with an absolute tol of 1e-8 this solve's discrepancy of 1.1e-8 at
+    # c = 1e8 read above it, and at c = 1e-12 the tol was 1e16 times the prices
+    def model(c):
+        return StrictlyHedonicSurplus(
+            BilinearComponent([[c]], Dz=[[-c]], h=[0.0, 0.3 * c]),
+            BilinearComponent([[0.8 * c]], h=[0.0, 0.2 * c]))
+
+    rng = np.random.default_rng(0)
+    mu, nu = (DiscreteMeasure.uniform(np.sort(rng.uniform(size=(20, 1)), axis=0))
+              for _ in range(2))
+    zs = GridSpec(0.0, 1.0, 7).points()
+    res = solve_hybrid(model(c), mu, nu, zs, method="direct_lp")
+    table = compute_prices(model(c), res.coupling, res.potentials)
+    assert table.max_discrepancy <= table.tol
+    i, j, k = res.coupling.indices.T
+    unit = model(1.0).value_batch(mu.points[i], nu.points[j], zs[k])
+    assert table.tol == pytest.approx(1e-8 * c * float(np.ptp(unit)), rel=1e-6)
+
+
 def test_prices_need_uv(plane):
     with pytest.raises(MissingUV):
         compute_prices(Supermodular1DSurplus(), plane.coupling,

@@ -57,11 +57,12 @@ def test_reduce_z_free_surplus_flags_all_ties():
 
 
 def test_reduce_tie_tolerance():
-    # values at the two z nodes differ by 1e-12: a coarse tol calls it a tie,
-    # a fine one picks the true max at index 1
+    # values at the two z nodes differ by 1e-12 of the reduced values' range
+    # (the seller at y = 1 spans it): a coarse tol calls it a tie, a fine one
+    # picks the true max at index 1
     s = Supermodular1DSurplus((1, 1, 1))
     xs = np.array([[1.0]])
-    ys = np.array([[1e-12]])
+    ys = np.array([[1e-12], [1.0]])
     zs = np.array([[0.0], [1.0]])
     loose = reduce(s, xs, ys, zs, tie_tol=1e-10)
     assert loose.tie[0, 0]

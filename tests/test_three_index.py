@@ -1,24 +1,33 @@
 """The three-index LPs (direct_lp, fixed alpha, max_over_alpha) and the
 stability check against sparse HiGHS, across scales, shifts, permutations
-and skewed weights."""
+and skewed weights; and the tie flags of reduce across scales and shifts."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from hedonic_match.core import Coupling, DiscreteMeasure, DualPotentials
+from hedonic_match import solver
+from hedonic_match.core import (
+    Coupling,
+    DiscreteMeasure,
+    DualPotentials,
+    GridSpec,
+    grid_scale,
+)
 from hedonic_match.diagnostics import verify_stability
 from hedonic_match.instances import random_instance
+from hedonic_match.reduction import reduce
 from hedonic_match.solver import (
     TooLarge,
     max_over_alpha,
     solve_hybrid,
     solve_tripartite_fixed_alpha,
 )
-from hedonic_match.surplus import SurplusModel
+from hedonic_match.surplus import BilinearSurplus, SurplusModel
 
 # With absolute tolerances, direct_lp on seeds 1 and 2 stopped 30% and 73%
 # below the optimum at c = 1e-12 and the stability check called both stable;
@@ -132,6 +141,42 @@ def test_max_over_alpha_certifies_at_every_scale(seed, c, t):
                                search.alpha.weights, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["bilinear", "counterexample", "supermodular"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_over_alpha_certifies_without_pivots(seed, family):
+    inst = random_instance(seed, n=12, nz=5, family=family)
+    search = max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    fixed = search.fixed_alpha_result
+    assert fixed.iterations == 0
+    np.testing.assert_array_equal(fixed.z_potential, np.zeros(search.alpha.size))
+    assert fixed.potentials is search.result.potentials
+    np.testing.assert_array_equal(fixed.coupling.indices,
+                                  search.result.coupling.indices)
+    assert fixed.coupling.alpha is search.alpha
+    grid = _grid(inst)
+    assert _dual_infeasibility(grid, fixed) <= 1e-9 * grid_scale(grid)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_max_over_alpha_rejects_wrong_duals(monkeypatch, sign):
+    # lowering one V entry breaks U + V >= s on that seller's support cells;
+    # raising it keeps the duals feasible but opens a duality gap
+    inst = random_instance(1, n=12, nz=5, family="bilinear")
+    scale = grid_scale(_grid(inst))
+    hybrid = solver.solve_hybrid
+
+    def moved_duals(*args, **kwargs):
+        res = hybrid(*args, **kwargs)
+        V = res.potentials.V.copy()
+        V[int(res.coupling.indices[0, 1])] += sign * 1e-6 * scale
+        return replace(res, potentials=DualPotentials(res.potentials.U, V))
+
+    max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    monkeypatch.setattr(solver, "solve_hybrid", moved_duals)
+    with pytest.raises(RuntimeError, match="fixed-alpha certificate"):
+        max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+
+
 @pytest.mark.parametrize("c, t", SCALES)
 def test_stability_verdicts_are_scale_free(c, t):
     inst = random_instance(0, n=12, nz=5, family="bilinear")
@@ -156,6 +201,22 @@ def test_stability_verdicts_are_scale_free(c, t):
     assert verify_stability(values, pair, lifted.potentials).stable
     zeros = DualPotentials(np.zeros(inst.mu.size), np.zeros(inst.nu.size))
     assert not verify_stability(values - values.max(), pair, zeros).stable
+
+
+@pytest.mark.parametrize("c, t", SCALES)
+def test_tie_flags_are_scale_free(c, t):
+    # s = xy + (y - x) z on dyadic points: the pairs with x = y are exact
+    # ties, every other pair's best good leads the next by at least 1/16;
+    # with an absolute tol every pair read as a tie at c = 1e-12
+    s = BilinearSurplus(A=[[1.0]], B=[[1.0]], C=[[-1.0]])
+    pts = GridSpec(0.0, 1.0, 5).points()
+    base = reduce(s, pts, pts, pts)
+    np.testing.assert_array_equal(base.tie, np.eye(5, dtype=bool))
+    red = reduce(_Affine(s, c, t), pts, pts, pts)
+    np.testing.assert_array_equal(red.tie, base.tie)
+    np.testing.assert_array_equal(red.argmax, base.argmax)
+    assert red.tie_tol == pytest.approx(1e-10 * c * float(np.ptp(base.values)),
+                                        rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -214,7 +275,7 @@ def test_max_over_alpha_bilinear_n24_is_fast():
     # took 10,022 free-z and 32,542 fixed-alpha dense Bland pivots (28.6 s)
     inst = random_instance(1, n=24, nz=9, family="bilinear")
     search = max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
-    assert search.fixed_alpha_result.iterations < 2_000
+    assert search.fixed_alpha_result.iterations == 0
     assert search.fixed_alpha_result.objective == pytest.approx(
         _highs(_grid(inst), inst.mu.weights, inst.nu.weights), rel=1e-9)
 
