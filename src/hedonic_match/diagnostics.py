@@ -17,6 +17,7 @@ from .surplus import (
     MissingUV,
     SingularBlock,
     StrictlyHedonicSurplus,
+    _GRID_BLOCK_CELLS,
     _nonsingular,
     _reduced_matrix,
     signature,
@@ -92,27 +93,38 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     if z_potential is not None and coupling.arity != 3:
         raise SizeMismatch("a good potential needs an arity-3 coupling")
     if coupling.arity == 3:
-        residual = surplus_or_cost.value_grid(
-            coupling.mu.points, coupling.nu.points, coupling.z_points)
-        scale = grid_scale(residual)
-        residual -= U[:, None, None]
-        residual -= V[None, :, None]
         if z_potential is not None:
             W = np.asarray(z_potential, dtype=float).reshape(-1)
             if W.size != coupling.z_points.shape[0]:
                 raise SizeMismatch(
                     f"W has {W.size} entries for {coupling.z_points.shape[0]} goods")
-            residual -= W[None, None, :]
-        worst_flat = int(np.argmax(residual))
-        wi, wj, wk = np.unravel_index(worst_flat, residual.shape)
-        support_res = residual[coupling.indices[:, 0], coupling.indices[:, 1],
-                               coupling.indices[:, 2]]
+        I, J, K = coupling.indices.T
+        support_res = np.empty(I.size)
+        extremes, peaks = [], []
+        # fold each block of x rows: extremes of s, the first argmax of the
+        # residual and the residuals of the support triples in those rows
+        for lo, residual in surplus_or_cost._grid_blocks(
+                coupling.mu.points, coupling.nu.points, coupling.z_points):
+            extremes.append((residual.min(), residual.max()))
+            residual -= U[lo:lo + residual.shape[0], None, None]
+            residual -= V[None, :, None]
+            if z_potential is not None:
+                residual -= W[None, None, :]
+            flat = int(np.argmax(residual))
+            peaks.append((residual.flat[flat], lo, flat, residual.shape))
+            rows = (I >= lo) & (I < lo + residual.shape[0])
+            support_res[rows] = residual[I[rows] - lo, J[rows], K[rows]]
+        scale = grid_scale(np.array(extremes))
+        # np.argmax keeps the first of equal block maxima, and the first NaN
+        max_grid, lo, flat, shape = peaks[int(np.argmax([p[0] for p in peaks]))]
+        bi, wj, wk = np.unravel_index(flat, shape)
+        wi = lo + bi
         worst = {
             "indices": [int(wi), int(wj), int(wk)],
             "x": coupling.mu.points[wi].tolist(),
             "y": coupling.nu.points[wj].tolist(),
             "z": coupling.z_points[wk].tolist(),
-            "residual": float(residual[wi, wj, wk]),
+            "residual": float(max_grid),
         }
     elif coupling.arity == 2:
         grid = np.asarray(surplus_or_cost, dtype=float)
@@ -125,6 +137,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
         residual = grid - U[:, None] - V[None, :]
         worst_flat = int(np.argmax(residual))
         wi, wj = np.unravel_index(worst_flat, residual.shape)
+        max_grid = np.max(residual)
         support_res = residual[coupling.indices[:, 0], coupling.indices[:, 1]]
         worst = {
             "indices": [int(wi), int(wj)],
@@ -135,7 +148,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     else:
         raise SizeMismatch(f"unsupported arity {coupling.arity}")
 
-    max_grid = float(np.max(residual))
+    max_grid = float(max_grid)
     max_support = float(np.max(np.abs(support_res))) if support_res.size else 0.0
     tol = tol * scale
     return StabilityReport(
@@ -496,18 +509,24 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     V = np.asarray(V, dtype=float).reshape(-1)
     if V.size != Y.shape[0]:
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
-    delta = s.value_grid(X, Y, Z)
-    delta -= V[None, :, None]
-    shifts = np.max(delta, axis=(1, 2))
+    # the shifts and the members of every slice, one block of x rows at a
+    # time, ordered by (x, y, z) index
+    shifts = np.empty(X.shape[0])
+    blocks = [np.empty((0, 3), dtype=np.intp)]
+    for lo, delta in s._grid_blocks(X, Y, Z):
+        delta -= V[None, :, None]
+        top = np.max(delta, axis=(1, 2), out=shifts[lo:lo + delta.shape[0]])
+        members = np.argwhere(delta >= (top - tol)[:, None, None])
+        members[:, 0] += lo
+        blocks.append(members)
     if require_feasible and np.any(shifts > tol):
         ix = int(np.argmax(shifts > tol))
         raise InfeasibleV(
             f"max of s - V is {shifts[ix]:.3e} > tol at x index {ix}; "
             "V does not dominate this slice"
         )
-    # the members of every slice, ordered by (x, y, z) index, and their
-    # buyer gradients in one batch
-    idx = np.argwhere(delta >= (shifts - tol)[:, None, None])
+    # the members' buyer gradients in one batch
+    idx = np.concatenate(blocks)
     all_grads = s._grad(X[idx[:, 0]], Y[idx[:, 1]], Z[idx[:, 2]])[0]
     bounds = np.searchsorted(idx[:, 0], np.arange(X.shape[0] + 1))
 
@@ -728,18 +747,21 @@ def support_dimension(coupling: Coupling, radius: float, s=None,
         raise TooFewPoints(f"{m} support points; need 1 or >= 10")
 
     counts = []
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     r2 = radius * radius
-    for p in range(m):
-        nbr = pts[d2[p] <= r2]
-        centered = nbr - nbr.mean(axis=0)
-        cov = centered.T @ centered / nbr.shape[0]
-        eigs = np.linalg.eigvalsh(cov)
-        top = float(eigs[-1])
-        if top <= 0.0:
-            counts.append(0)
-        else:
-            counts.append(int(np.sum(eigs >= eig_cutoff * top)))
+    # squared distances from one block of support points at a time
+    rows = max(1, _GRID_BLOCK_CELLS // (m * pts.shape[1]))
+    for lo in range(0, m, rows):
+        d2 = np.sum((pts[lo:lo + rows, None, :] - pts[None, :, :]) ** 2, axis=2)
+        for near in d2 <= r2:
+            nbr = pts[near]
+            centered = nbr - nbr.mean(axis=0)
+            cov = centered.T @ centered / nbr.shape[0]
+            eigs = np.linalg.eigvalsh(cov)
+            top = float(eigs[-1])
+            if top <= 0.0:
+                counts.append(0)
+            else:
+                counts.append(int(np.sum(eigs >= eig_cutoff * top)))
     mean_count = float(np.mean(counts))
     return SupportDimensionReport(
         estimate=int(round(mean_count)),

@@ -4,7 +4,9 @@ The two-step route to the hybrid problem: collapse z by maximizing,
     sbar(x, y) = max_z s(x, y, z),
 remember which z attained it, then match buyers to sellers on sbar.  The
 c-transforms build dual-feasible payoff pairs by the same maximization and
-drive the duality arguments.
+drive the duality arguments.  Each pass folds the surplus grid one block of
+x rows at a time (SurplusModel._grid_blocks), so none holds the full
+n_x × n_y × n_z array.
 """
 
 from __future__ import annotations
@@ -84,12 +86,20 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
     X = _require_points(xs, "X")
     Y = _require_points(ys, "Y")
     Z = _require_points(zs, "Z")
-    grid = s.value_grid(X, Y, Z)
-    best = np.argmax(grid, axis=2)
-    values = np.take_along_axis(grid, best[:, :, None], axis=2)[:, :, 0]
+    best = np.empty((X.shape[0], Y.shape[0]), dtype=np.intp)
+    values = np.empty(best.shape)
+    # the largest value once the argmax is struck out, -inf when nz = 1: a
+    # second index comes within tie_tol exactly when this one does
+    second = np.empty(best.shape)
+    for lo, grid in s._grid_blocks(X, Y, Z):
+        rows = slice(lo, lo + grid.shape[0])
+        arg = np.argmax(grid, axis=2)[:, :, None]
+        best[rows] = arg[:, :, 0]
+        values[rows] = np.take_along_axis(grid, arg, axis=2)[:, :, 0]
+        np.put_along_axis(grid, arg, -np.inf, axis=2)
+        np.max(grid, axis=2, out=second[rows])
     tie_tol = tie_tol * grid_scale(values)
-    near = grid >= (values[:, :, None] - tie_tol)
-    tie = np.sum(near, axis=2) >= 2
+    tie = second >= values - tie_tol
     lo = Z.min(axis=0)
     hi = Z.max(axis=0)
     sel = Z[best]
@@ -112,9 +122,11 @@ def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
         raise ValidationError(f"V has {V.shape[0]} entries for {Y.shape[0]} y-points")
     if not np.all(np.isfinite(V)):
         raise ValidationError("V must be finite")
-    grid = s.value_grid(X, Y, Z)
-    grid -= V[None, :, None]
-    return np.max(grid, axis=(1, 2))
+    U = np.empty(X.shape[0])
+    for lo, grid in s._grid_blocks(X, Y, Z):
+        grid -= V[None, :, None]
+        np.max(grid, axis=(1, 2), out=U[lo:lo + grid.shape[0]])
+    return U
 
 
 def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
@@ -127,9 +139,11 @@ def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
         raise ValidationError(f"U has {U.shape[0]} entries for {X.shape[0]} x-points")
     if not np.all(np.isfinite(U)):
         raise ValidationError("U must be finite")
-    grid = s.value_grid(X, Y, Z)
-    grid -= U[:, None, None]
-    return np.max(grid, axis=(0, 2))
+    V = np.full(Y.shape[0], -np.inf)
+    for lo, grid in s._grid_blocks(X, Y, Z):
+        grid -= U[lo:lo + grid.shape[0], None, None]
+        np.maximum(V, np.max(grid, axis=(0, 2)), out=V)
+    return V
 
 
 def reduced_to_csv(reduced: ReducedSurplus, path) -> None:

@@ -581,7 +581,8 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     LP with alpha prescribed needs no pivots: the reduce_lift duals (U, V)
     and W = 0 must cover s on the whole grid and match the coupling's value,
     which must match the free-z objective, each within DRIFT_TOL of the
-    grid's range, or RuntimeError.
+    grid's range plus the rounding of sums of that magnitude, or
+    RuntimeError.
     """
     res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
     alpha = project(res.coupling, "z")
@@ -591,6 +592,18 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     primal = float(res.coupling.masses @ grid[i, j, k])
     U, V = res.potentials.U, res.potentials.V
     dual = float(mu.weights @ U + nu.weights @ V)
+    # The primal, the free-z objective and the dual agree in exact
+    # arithmetic.  Each sums at most n_x + n_y products w·v, with weights
+    # summing to one and |v| ≤ M, the largest magnitude of s, U and V.  An
+    # inner product of n terms rounds by at most n·(eps/2)·Σ|w·v| to first
+    # order (Higham, "Accuracy and Stability of Numerical Algorithms",
+    # §3.1), and the dual adds its two inner products once more, so each
+    # value is off by at most (n_x + n_y + 1)·(eps/2)·M and two of them
+    # differ by up to (n_x + n_y + 1)·eps·M.  A residual s − U − V rounds in
+    # two subtractions, by at most 2·eps·M.  Under a shift t, M grows with
+    # |t| while the range does not, so this term joins DRIFT_TOL·range.
+    magnitude = max(grid.max(), -grid.min(), np.abs(U).max(), np.abs(V).max())
+    bound = DRIFT_TOL * scale + (mu.size + nu.size + 1) * np.finfo(float).eps * magnitude
     grid -= U[:, None, None]
     grid -= V[None, :, None]
     residual = float(grid.max())
@@ -605,7 +618,7 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
         method="tripartite_fixed_alpha",
         z_potential=np.zeros(alpha.size),
     )
-    if max(residual, abs(primal - res.objective), abs(primal - dual)) > DRIFT_TOL * scale:
+    if max(residual, abs(primal - res.objective), abs(primal - dual)) > bound:
         raise RuntimeError(
             f"fixed-alpha certificate failed: dual residual {residual!r}, primal "
             f"{primal!r}, free-z {res.objective!r}, dual {dual!r}")

@@ -36,6 +36,9 @@ from .core import DimensionMismatch, ValidationError, as_point_array
 
 ZERO_EIG_REL = 1e-9
 PIVOT_REL_TOL = 1e-10
+# cells per row block of _grid_blocks: 512 KiB of float64, below the CLI's
+# mmap threshold, so blocks reuse heap memory instead of fresh mappings
+_GRID_BLOCK_CELLS = 1 << 16
 
 
 class OutOfGrid(ValidationError):
@@ -252,6 +255,18 @@ class SurplusModel:
         Y = self._canon_grid(ys, "y")
         Z = self._canon_grid(zs, "z")
         return self._kernel(X[:, None, None], Y[None, :, None], Z[None, None, :])
+
+    def _grid_blocks(self, xs, ys, zs):
+        """Yield (lo, value_grid(X[lo:lo + rows], Y, Z)) over blocks of X rows
+        of at most _GRID_BLOCK_CELLS cells (one row at least).  The kernels
+        are elementwise, so the blocks are bit for bit the rows of the full
+        grid; a caller folds each block before it asks for the next."""
+        X = self._canon_grid(xs, "x")
+        Y = self._canon_grid(ys, "y")
+        Z = self._canon_grid(zs, "z")
+        rows = max(1, _GRID_BLOCK_CELLS // max(1, Y.shape[0] * Z.shape[0]))
+        for lo in range(0, X.shape[0], rows):
+            yield lo, self.value_grid(X[lo:lo + rows], Y, Z)
 
     def value_u(self, x, y, z) -> float:
         raise MissingUV(f"{self.family} model has no separate buyer utility")

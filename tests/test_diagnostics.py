@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hedonic_match import diagnostics, surplus
 from hedonic_match.core import (
     Coupling,
     DiscreteMeasure,
@@ -8,8 +9,10 @@ from hedonic_match.core import (
     GridSpec,
     ValidationError,
     coupling_objective,
+    grid_scale,
 )
 from hedonic_match.diagnostics import (
+    STABILITY_TOL,
     DegenerateCross,
     InfeasibleV,
     SizeMismatch,
@@ -40,6 +43,7 @@ from hedonic_match.surplus import (
     StrictlyHedonicSurplus,
     Supermodular1DSurplus,
     TabulatedComponent,
+    TabulatedSurplus,
 )
 
 
@@ -622,3 +626,106 @@ def test_counterexample_multiple_stable_matchings(plane):
     v2 = coupling_objective(anti, plane.surplus)
     assert v1 == pytest.approx(v2, abs=1e-12)
     assert not np.array_equal(como.indices, anti.indices)
+
+
+# --- row blocks ---------------------------------------------------------------
+
+def _planted_table():
+    """Values in {0, 1, 2} with the largest value, 5, planted at rows 2 and 4:
+    with zero potentials the worst residual ties across a block boundary and
+    the report must name the first, (2, 1, 3)."""
+    values = np.random.default_rng(0).integers(0, 3, size=(7, 5, 6)).astype(float)
+    values[2, 1, 3] = values[4, 0, 0] = 5.0
+    return TabulatedSurplus(values, *(np.arange(n, dtype=float) for n in values.shape))
+
+
+def _blocked_solve(market):
+    """(surplus, reduce_lift solve, potentials) on a 7-buyer market."""
+    if market == "planted-table":
+        s = _planted_table()
+        mu, nu = (DiscreteMeasure.uniform(np.arange(n, dtype=float)[:, None])
+                  for n in (7, 5))
+        res = solve_hybrid(s, mu, nu, np.arange(6, dtype=float)[:, None])
+        return s, res, DualPotentials(np.zeros(mu.size), np.zeros(nu.size))
+    inst = random_instance(4, n=7, nz=5, family="bilinear")
+    res = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    return inst.surplus, res, res.potentials
+
+
+def _block_rows(monkeypatch, rows, cells):
+    """Blocks of `rows` x rows: 1, 3 (7 rows leave a ragged last block of 1),
+    or None for one block holding the whole grid."""
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS",
+                        1 << 30 if rows is None else rows * cells + cells // 2)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("market", ["planted-table", "bilinear"])
+def test_blocked_stability_matches_the_full_grid(monkeypatch, market, with_w, rows):
+    s, res, pots = _blocked_solve(market)
+    c = res.coupling
+    grid = s.value_grid(c.mu.points, c.nu.points, c.z_points)
+    W = np.linspace(0.0, 0.5, grid.shape[2]) if with_w else None
+    residual = grid - pots.U[:, None, None] - pots.V[None, :, None]
+    if with_w:
+        residual = residual - W[None, None, :]
+    wi, wj, wk = np.unravel_index(np.argmax(residual), residual.shape)
+    tol = STABILITY_TOL * grid_scale(grid)
+    max_grid = float(np.max(residual))
+    max_support = float(np.max(np.abs(residual[tuple(c.indices.T)])))
+    expected = {
+        "max_grid_residual": max_grid,
+        "max_support_residual": max_support,
+        "stable": max_grid <= tol and max_support <= tol,
+        "worst_triple": {
+            "indices": [int(wi), int(wj), int(wk)],
+            "x": c.mu.points[wi].tolist(),
+            "y": c.nu.points[wj].tolist(),
+            "z": c.z_points[wk].tolist(),
+            "residual": float(residual[wi, wj, wk]),
+        },
+        "tol": tol,
+    }
+    if market == "planted-table" and not with_w:
+        assert [int(wi), int(wj), int(wk)] == [2, 1, 3]
+    _block_rows(monkeypatch, rows, grid.shape[1] * grid.shape[2])
+    rep = verify_stability(s, c, pots, z_potential=W)
+    assert rep.to_dict() == expected
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("market", ["planted-table", "bilinear"])
+def test_blocked_splitting_sets_match_the_full_grid(monkeypatch, market, rows):
+    s, res, pots = _blocked_solve(market)
+    c = res.coupling
+    xs, ys, zs = c.mu.points, c.nu.points, c.z_points
+    delta = s.value_grid(xs, ys, zs) - pots.V[None, :, None]
+    shifts = np.max(delta, axis=(1, 2))
+    idx = np.argwhere(delta >= (shifts - STABILITY_TOL)[:, None, None])
+    _block_rows(monkeypatch, rows, delta.shape[1] * delta.shape[2])
+    samples, rep = sample_splitting_sets(s, xs, pots.V, ys, zs)
+    assert [smp.shift for smp in samples] == shifts.tolist()
+    members = [(i, j, k) for i, smp in enumerate(samples)
+               for j, k in smp.member_indices]
+    assert members == [tuple(row) for row in idx.tolist()]
+    if market == "planted-table":
+        assert max(smp.size for smp in samples) > 1
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", 1 << 30)
+    whole, whole_rep = sample_splitting_sets(s, xs, pots.V, ys, zs)
+    assert [smp.to_dict() for smp in samples] == [smp.to_dict() for smp in whole]
+    assert rep.to_dict() == whole_rep.to_dict()
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_blocked_support_dimension_matches_one_block(monkeypatch, rows):
+    inst = random_instance(0, n=21, nz=7, family="bilinear")
+    coupling = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points).coupling
+    m = coupling.indices.shape[0]
+    monkeypatch.setattr(diagnostics, "_GRID_BLOCK_CELLS", 1 << 30)
+    whole = support_dimension(coupling, radius=0.3)
+    monkeypatch.setattr(diagnostics, "_GRID_BLOCK_CELLS", rows * 3 * m)
+    blocked = support_dimension(coupling, radius=0.3)
+    assert m % 2 == 1  # 2 rows leave a ragged last block
+    assert len(set(whole.local_counts)) > 1
+    assert blocked.to_dict() == whole.to_dict()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from hedonic_match.core import GridSpec, ValidationError
+from hedonic_match import surplus
+from hedonic_match.core import GridSpec, ValidationError, grid_scale
+from hedonic_match.instances import random_instance
 from hedonic_match.reduction import (
+    TIE_TOL,
     EmptyGrid,
     c_transform_U,
     c_transform_V,
@@ -13,6 +16,7 @@ from hedonic_match.surplus import (
     BilinearSurplus,
     CounterexampleSurplus,
     Supermodular1DSurplus,
+    TabulatedSurplus,
 )
 
 
@@ -175,3 +179,71 @@ def test_reduced_to_csv(tmp_path):
     assert float(sbar) == red.values[0, 0]
     assert int(z_index) == red.argmax[0, 0]
     assert tie_flag in {"0", "1"}
+
+
+# --- row blocks ---------------------------------------------------------------
+
+def _integer_table(seed, shape):
+    """Values in {0, 1, 2, 3}: exact ties within and across rows."""
+    values = np.random.default_rng(seed).integers(0, 4, size=shape).astype(float)
+    return (TabulatedSurplus(values, *(np.arange(n, dtype=float) for n in shape)),
+            *(np.arange(n, dtype=float)[:, None] for n in shape))
+
+
+def _blocked_markets():
+    inst = random_instance(3, n=7, nz=5, family="bilinear")
+    duplicates = np.array([[0.0], [0.25], [0.25], [0.5], [0.75], [0.75], [1.0]])
+    return {
+        "integer-table": _integer_table(0, (7, 5, 6)),
+        "bilinear": (inst.surplus, inst.mu.points, inst.nu.points, inst.z_points),
+        # z* = x - y lands on the repeated points 0.25 and 0.75: exact ties
+        "duplicate-z": (CounterexampleSurplus(0.5), _dyadic(0.5, 1.0, 7),
+                        _dyadic(0.0, 0.5, 5), duplicates),
+        "nz=1": (CounterexampleSurplus(0.5), _dyadic(0.5, 1.0, 7),
+                 _dyadic(0.0, 0.5, 5), [[0.5]]),
+    }
+
+
+def _block_rows(monkeypatch, rows, ys, zs):
+    """Blocks of `rows` x rows: 1, 3 (7 rows leave a ragged last block of 1),
+    or None for one block holding the whole grid."""
+    cells = len(ys) * len(zs)
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS",
+                        1 << 30 if rows is None else rows * cells + cells // 2)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("market", ["integer-table", "bilinear", "duplicate-z", "nz=1"])
+def test_blocked_reduce_matches_the_full_grid(monkeypatch, market, rows):
+    s, xs, ys, zs = _blocked_markets()[market]
+    grid = s.value_grid(xs, ys, zs)
+    best = np.argmax(grid, axis=2)
+    values = np.max(grid, axis=2)
+    tol = TIE_TOL * grid_scale(values)
+    tie = np.sum(grid >= values[:, :, None] - tol, axis=2) >= 2
+    _block_rows(monkeypatch, rows, ys, zs)
+    red = reduce(s, xs, ys, zs)
+    assert red.argmax.dtype == best.dtype
+    np.testing.assert_array_equal(red.argmax, best)
+    assert red.values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(red.tie, tie)
+    assert red.tie_tol == tol
+    # the markets with exact z-ties have them, and the others have none
+    assert tie.any() == (market in ("integer-table", "duplicate-z"))
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", 1 << 30)
+    assert red.to_dict() == reduce(s, xs, ys, zs).to_dict()
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("market", ["integer-table", "bilinear", "duplicate-z", "nz=1"])
+def test_blocked_c_transforms_match_the_full_grid(monkeypatch, market, rows):
+    s, xs, ys, zs = _blocked_markets()[market]
+    grid = s.value_grid(xs, ys, zs)
+    rng = np.random.default_rng(1)
+    U = rng.normal(size=grid.shape[0])
+    V = rng.normal(size=grid.shape[1])
+    _block_rows(monkeypatch, rows, ys, zs)
+    assert (c_transform_V(s, V, xs, ys, zs).tobytes()
+            == np.max(grid - V[None, :, None], axis=(1, 2)).tobytes())
+    assert (c_transform_U(s, U, xs, ys, zs).tobytes()
+            == np.max(grid - U[:, None, None], axis=(0, 2)).tobytes())

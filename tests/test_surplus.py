@@ -4,9 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hedonic_match import surplus
-from hedonic_match.diagnostics import check_tss_bilinear, check_tzss_bilinear
+from hedonic_match import cli, surplus
+from hedonic_match.diagnostics import (
+    check_tss_bilinear,
+    check_tzss_bilinear,
+    sample_splitting_sets,
+    verify_stability,
+)
 from hedonic_match.instances import random_instance
+from hedonic_match.reduction import reduce
+from hedonic_match.solver import solve_hybrid
 from hedonic_match.surplus import (
     BilinearComponent,
     BilinearSurplus,
@@ -91,6 +98,42 @@ def test_value_grid_holds_one_grid_at_peak(family):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * grid.nbytes
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_blocks_stay_below_the_mmap_threshold():
+    # blocks then come from the reused heap, not from fresh mappings
+    assert surplus._GRID_BLOCK_CELLS * 8 < cli.MMAP_THRESHOLD
+
+
+@pytest.mark.parametrize("family", ["bilinear", "supermodular"])
+def test_reduce_peak_stays_far_below_the_grid(family):
+    # the full 1000 x 1000 x 33 grid alone is 264 MB; reduce folds it in
+    # row blocks and holds its three 8 MB result-sized arrays
+    inst = random_instance(0, n=1000, nz=33, family=family)
+    peak = _traced_peak(lambda: reduce(inst.surplus, inst.mu.points,
+                                       inst.nu.points, inst.z_points))
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("family", ["bilinear", "supermodular"])
+def test_stability_and_splitting_peaks_stay_below_one_grid(family):
+    inst = random_instance(0, n=300, nz=33, family=family)
+    grid_bytes = 8 * inst.mu.size * inst.nu.size * inst.z_points.shape[0]
+    res = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    assert _traced_peak(lambda: verify_stability(
+        inst.surplus, res.coupling, res.potentials)) < grid_bytes
+    assert _traced_peak(lambda: sample_splitting_sets(
+        inst.surplus, inst.mu.points, res.potentials.V, inst.nu.points,
+        inst.z_points)) < grid_bytes
 
 
 def _same_bits(a, b) -> bool:

@@ -177,6 +177,22 @@ def test_max_over_alpha_rejects_wrong_duals(monkeypatch, sign):
         max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
 
 
+@pytest.mark.parametrize("t", [1e8, 1e9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_max_over_alpha_certifies_under_large_shifts(seed, t):
+    # at these shifts the primal and the dual differ by about ulp(t), more
+    # than DRIFT_TOL·range: the check has to count the rounding of the sums
+    inst = random_instance(seed, n=12, nz=5, family="bilinear")
+    base = max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    shifted = max_over_alpha(_Affine(inst.surplus, 1.0, t), inst.mu, inst.nu,
+                             inst.z_points)
+    fixed = shifted.fixed_alpha_result
+    assert np.array_equal(fixed.coupling.indices,
+                          base.fixed_alpha_result.coupling.indices)
+    assert abs(fixed.objective - (base.fixed_alpha_result.objective + t)) <= 1e-15 * t
+    assert fixed.duality_gap <= 1e-15 * t
+
+
 @pytest.mark.parametrize("c, t", SCALES)
 def test_stability_verdicts_are_scale_free(c, t):
     inst = random_instance(0, n=12, nz=5, family="bilinear")
