@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
 
 # --- diagnose ---------------------------------------------------------------
 
-def _family_twists(s, solved, mu, nu, zs) -> dict:
+def _family_twists(s, solved, mu, nu, zs, reduced) -> dict:
     checks = {}
     if tuple(s.dims) == (1, 1, 1):
         support = [(mu.points[i], nu.points[j], zs[k])
@@ -191,7 +191,7 @@ def _family_twists(s, solved, mu, nu, zs) -> dict:
         checks["strictly_hedonic"] = check_strictly_hedonic(
             s.u, s.v, mu.points, nu.points, zs).to_dict()
     _, sampled = sample_splitting_sets(s, mu.points, solved.potentials.V,
-                                       nu.points, zs)
+                                       nu.points, zs, reduced=reduced)
     checks["tzss_sampled"] = sampled.to_dict()
     return checks
 
@@ -213,7 +213,13 @@ def _cmd_diagnose(args) -> int:
             "warnings": list(solved.warnings),
         },
     }
-    stability = verify_stability(s, solved.coupling, solved.potentials)
+    # one pass over the surplus grid: the stability check (without W) and the
+    # splitting sets read the solve's reduction
+    reduced = solved.reduction
+    if reduced is None:
+        reduced = reduce_surplus(s, mu.points, nu.points, zs)
+    stability = verify_stability(s, solved.coupling, solved.potentials,
+                                 z_potential=solved.z_potential, reduced=reduced)
     report["stability"] = stability.to_dict()
     purity = check_purity(solved.coupling, warnings=solved.warnings)
     report["purity"] = purity.to_dict()
@@ -225,7 +231,7 @@ def _cmd_diagnose(args) -> int:
             solved.coupling, radius=args.radius, s=s).to_dict()
     except ValidationError as exc:
         report["support_dimension"] = {"skipped": str(exc)}
-    report["twists"] = _family_twists(s, solved, mu, nu, zs)
+    report["twists"] = _family_twists(s, solved, mu, nu, zs, reduced)
 
     out = _out_dir(args)
     dump_json(report, out / "diagnostics.json")

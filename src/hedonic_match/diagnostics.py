@@ -71,10 +71,22 @@ class StabilityReport:
         }
 
 
+def _reduction_for(s, X, Y, Z, reduced):
+    """reduced, checked against the points, or reduce(s, X, Y, Z)."""
+    if reduced is None:
+        return reduce(s, X, Y, Z)
+    if (reduced.shape != (X.shape[0], Y.shape[0])
+            or not np.array_equal(reduced.z_points, Z)):
+        raise SizeMismatch(
+            f"reduction of shape {reduced.shape} over {reduced.z_points.shape[0]} "
+            f"goods, points ({X.shape[0]}, {Y.shape[0]}) over {Z.shape[0]} goods")
+    return reduced
+
+
 def verify_stability(surplus_or_cost, coupling: Coupling,
                      potentials: DualPotentials,
                      tol: float = STABILITY_TOL,
-                     z_potential=None) -> StabilityReport:
+                     z_potential=None, reduced=None) -> StabilityReport:
     """Check U(x) + V(y) ≥ s(x,y,z) on the whole grid with equality on the
     coupling's support.
 
@@ -83,6 +95,12 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     passing it checks U + V + W ≥ s instead.  Stability is equivalent to LP
     optimality of the coupling.  tol is a fraction of the checked grid's
     scale (its range max − min); the report gives it in absolute units.
+
+    Without W the grid enters only through sbar = max_z s: pass the solve's
+    reduction as reduced, or it is computed here.  Subtraction is monotone,
+    so fl(fl(sbar − U) − V) is the largest residual of the pair's z-column
+    and the report is the full grid's bit for bit.  With W the grid is
+    folded one block of x rows at a time and reduced is not used.
     """
     U, V = potentials.U, potentials.V
     if U.size != coupling.mu.size or V.size != coupling.nu.size:
@@ -93,37 +111,52 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     if z_potential is not None and coupling.arity != 3:
         raise SizeMismatch("a good potential needs an arity-3 coupling")
     if coupling.arity == 3:
+        s = surplus_or_cost
+        X, Y, Z = coupling.mu.points, coupling.nu.points, coupling.z_points
+        I, J, K = coupling.indices.T
         if z_potential is not None:
             W = np.asarray(z_potential, dtype=float).reshape(-1)
-            if W.size != coupling.z_points.shape[0]:
-                raise SizeMismatch(
-                    f"W has {W.size} entries for {coupling.z_points.shape[0]} goods")
-        I, J, K = coupling.indices.T
-        support_res = np.empty(I.size)
-        extremes, peaks = [], []
-        # fold each block of x rows: extremes of s, the first argmax of the
-        # residual and the residuals of the support triples in those rows
-        for lo, residual in surplus_or_cost._grid_blocks(
-                coupling.mu.points, coupling.nu.points, coupling.z_points):
-            extremes.append((residual.min(), residual.max()))
-            residual -= U[lo:lo + residual.shape[0], None, None]
-            residual -= V[None, :, None]
-            if z_potential is not None:
+            if W.size != Z.shape[0]:
+                raise SizeMismatch(f"W has {W.size} entries for {Z.shape[0]} goods")
+            support_res = np.empty(I.size)
+            extremes, peaks = [], []
+            # fold each block of x rows: extremes of s, the first argmax of
+            # the residual and the residuals of the support triples in those rows
+            for lo, residual in s._grid_blocks(X, Y, Z):
+                extremes.append((residual.min(), residual.max()))
+                residual -= U[lo:lo + residual.shape[0], None, None]
+                residual -= V[None, :, None]
                 residual -= W[None, None, :]
-            flat = int(np.argmax(residual))
-            peaks.append((residual.flat[flat], lo, flat, residual.shape))
-            rows = (I >= lo) & (I < lo + residual.shape[0])
-            support_res[rows] = residual[I[rows] - lo, J[rows], K[rows]]
-        scale = grid_scale(np.array(extremes))
-        # np.argmax keeps the first of equal block maxima, and the first NaN
-        max_grid, lo, flat, shape = peaks[int(np.argmax([p[0] for p in peaks]))]
-        bi, wj, wk = np.unravel_index(flat, shape)
-        wi = lo + bi
+                flat = int(np.argmax(residual))
+                peaks.append((residual.flat[flat], lo, flat, residual.shape))
+                rows = (I >= lo) & (I < lo + residual.shape[0])
+                support_res[rows] = residual[I[rows] - lo, J[rows], K[rows]]
+            scale = grid_scale(np.array(extremes))
+            # np.argmax keeps the first of equal block maxima, and the first NaN
+            max_grid, lo, flat, shape = peaks[int(np.argmax([p[0] for p in peaks]))]
+            bi, wj, wk = np.unravel_index(flat, shape)
+            wi = lo + bi
+        else:
+            red = _reduction_for(s, X, Y, Z, reduced)
+            scale = red.grid_scale
+            residual = red.values - U[:, None]
+            residual -= V[None, :]
+            # the first pair attaining the max (or the first NaN) holds the
+            # grid's first worst triple: no earlier pair's column reaches it
+            wi, wj = np.unravel_index(int(np.argmax(residual)), residual.shape)
+            column = s.value_grid(X[wi:wi + 1], Y[wj:wj + 1], Z)[0, 0]
+            column -= U[wi]
+            column -= V[wj]
+            wk = int(np.argmax(column))
+            max_grid = column[wk]
+            support_res = s.value_batch(X[I], Y[J], Z[K])
+            support_res -= U[I]
+            support_res -= V[J]
         worst = {
             "indices": [int(wi), int(wj), int(wk)],
-            "x": coupling.mu.points[wi].tolist(),
-            "y": coupling.nu.points[wj].tolist(),
-            "z": coupling.z_points[wk].tolist(),
+            "x": X[wi].tolist(),
+            "y": Y[wj].tolist(),
+            "z": Z[wk].tolist(),
             "residual": float(max_grid),
         }
     elif coupling.arity == 2:
@@ -491,7 +524,7 @@ def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
 def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
                           grad_tol: float | None = None,
                           point_tol: float = POINT_SEP_TOL,
-                          require_feasible: bool = False):
+                          require_feasible: bool = False, reduced=None):
     """Extract z-trivial splitting sets and test the sampled twist.
 
     For each x the members are the (y,z) grid pairs attaining the slice
@@ -499,6 +532,12 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     by that maximum (splitting functions are defined up to a constant per x);
     require_feasible instead insists the maximum is ≤ tol and raises
     InfeasibleV when it is not.
+
+    The slice maxima come from the reduction sbar = max_z s (pass the
+    solve's as reduced, or it is computed here): subtraction is monotone, so
+    max_k fl(s_k − V_j) = fl(sbar − V_j).  As s ≤ sbar, only the z-columns of
+    pairs within tol of their slice maximum can hold members, and only those
+    are evaluated.
 
     The sampled twist fails when one gradient cluster contains two members
     whose (y,z) points genuinely differ; the report carries the witness.
@@ -509,22 +548,23 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     V = np.asarray(V, dtype=float).reshape(-1)
     if V.size != Y.shape[0]:
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
-    # the shifts and the members of every slice, one block of x rows at a
-    # time, ordered by (x, y, z) index
-    shifts = np.empty(X.shape[0])
-    blocks = [np.empty((0, 3), dtype=np.intp)]
-    for lo, delta in s._grid_blocks(X, Y, Z):
-        delta -= V[None, :, None]
-        top = np.max(delta, axis=(1, 2), out=shifts[lo:lo + delta.shape[0]])
-        members = np.argwhere(delta >= (top - tol)[:, None, None])
-        members[:, 0] += lo
-        blocks.append(members)
+    red = _reduction_for(s, X, Y, Z, reduced)
+    delta = red.values - V[None, :]
+    shifts = np.max(delta, axis=1)
     if require_feasible and np.any(shifts > tol):
         ix = int(np.argmax(shifts > tol))
         raise InfeasibleV(
             f"max of s - V is {shifts[ix]:.3e} > tol at x index {ix}; "
             "V does not dominate this slice"
         )
+    # the members in (x, y, z) order, from the candidates' z-columns
+    pairs = np.argwhere(delta >= (shifts - tol)[:, None])
+    blocks = [np.empty((0, 3), dtype=np.intp)]
+    for lo, cols in s._column_blocks(X[pairs[:, 0]], Y[pairs[:, 1]], Z):
+        at = pairs[lo:lo + cols.shape[0]]
+        cols -= V[at[:, 1], None]
+        a, k = np.nonzero(cols >= (shifts[at[:, 0]] - tol)[:, None])
+        blocks.append(np.column_stack([at[a], k]))
     # the members' buyer gradients in one batch
     idx = np.concatenate(blocks)
     all_grads = s._grad(X[idx[:, 0]], Y[idx[:, 1]], Z[idx[:, 2]])[0]

@@ -33,6 +33,7 @@ class ReducedSurplus:
     argmax[i, j]   = smallest k attaining the max
     tie[i, j]      = another k comes within tie_tol (absolute) of the max
     boundary[i, j] = the argmax z sits on the bounding box of the Z set
+    lowest         = min_{i,j,k} s(x_i, y_j, z_k), the other end of the grid
     """
 
     values: np.ndarray
@@ -40,11 +41,17 @@ class ReducedSurplus:
     tie: np.ndarray
     boundary: np.ndarray
     z_points: np.ndarray
+    lowest: float
     tie_tol: float = TIE_TOL
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def grid_scale(self) -> float:
+        """grid_scale of the full grid, from its two ends."""
+        return grid_scale(np.array([self.lowest, self.values.max()]))
 
     @property
     def any_tie(self) -> bool:
@@ -91,8 +98,10 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
     # the largest value once the argmax is struck out, -inf when nz = 1: a
     # second index comes within tie_tol exactly when this one does
     second = np.empty(best.shape)
+    lows = []
     for lo, grid in s._grid_blocks(X, Y, Z):
         rows = slice(lo, lo + grid.shape[0])
+        lows.append(grid.min())
         arg = np.argmax(grid, axis=2)[:, :, None]
         best[rows] = arg[:, :, 0]
         values[rows] = np.take_along_axis(grid, arg, axis=2)[:, :, 0]
@@ -105,7 +114,7 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
     sel = Z[best]
     on_box = np.any((sel == lo) | (sel == hi), axis=2)
     return ReducedSurplus(values=values, argmax=best, tie=tie, boundary=on_box,
-                          z_points=Z, tie_tol=tie_tol)
+                          z_points=Z, lowest=float(np.min(lows)), tie_tol=tie_tol)
 
 
 def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:

@@ -27,7 +27,8 @@ from hedonic_match.serialize import (
     load_json,
     potentials_from_csv,
 )
-from hedonic_match.solver import PivotBudgetExceeded
+from hedonic_match.diagnostics import sample_splitting_sets
+from hedonic_match.solver import PivotBudgetExceeded, solve_hybrid
 from hedonic_match.surplus import BilinearSurplus, surplus_from_dict
 
 ARTIFACTS = ("solve_result.json", "coupling.json", "potentials.csv")
@@ -126,6 +127,55 @@ def test_diagnose_counterexample_family(tmp_path):
     report = load_json(tmp_path / "diagnostics.json")
     assert "tzss_bilinear" in report["twists"]
     assert "compatibility" in report["twists"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_diagnose_with_alpha_checks_the_good_potential(tmp_path, seed):
+    # the fixed-alpha optimum is stable only once its W over goods counts
+    inst = random_instance(seed, n=8, nz=4, family="bilinear")
+    dump_json(inst.surplus.to_dict(), tmp_path / "surplus.json")
+    measure_to_csv(inst.mu, tmp_path / "mu.csv")
+    measure_to_csv(inst.nu, tmp_path / "nu.csv")
+    measure_to_csv(DiscreteMeasure.uniform(inst.z_points), tmp_path / "alpha.csv")
+    code = main(["diagnose", "--surplus", str(tmp_path / "surplus.json"),
+                 "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                 "--alpha", str(tmp_path / "alpha.csv"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = load_json(tmp_path / "diagnostics.json")
+    assert report["solve"]["method"] == "tripartite_fixed_alpha"
+    assert report["stability"]["stable"] is True
+
+
+@pytest.mark.parametrize("family", ["supermodular", "counterexample", "bilinear"])
+def test_diagnose_reads_the_surplus_grid_once(tmp_path, monkeypatch, family):
+    # every surplus value the diagnose evaluates: one grid in reduce, one
+    # z-column for the worst residual, the support triples, and the
+    # z-columns of the splitting-set candidates (the pairs holding members)
+    inst = random_instance(0, n=30, nz=9, family=family)
+    nx, ny, nz = inst.mu.size, inst.nu.size, inst.z_points.shape[0]
+    res = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    samples, _ = sample_splitting_sets(inst.surplus, inst.mu.points,
+                                       res.potentials.V, inst.nu.points,
+                                       inst.z_points)
+    candidates = len({(i, j) for i, smp in enumerate(samples)
+                      for j, _ in smp.member_indices})
+    support = res.coupling.masses.size
+    cells = []
+    cls = type(inst.surplus)
+    kernel = cls._kernel
+
+    def counting(self, X, Y, Z):
+        out = kernel(self, X, Y, Z)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(cls, "_kernel", counting)
+    code = main(["diagnose", "--random-instance", "0", "--n", "30", "--nz", "9",
+                 "--family", family, "--method", "reduce_lift",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    prices = 2 if inst.surplus.has_uv else 1  # compute_prices reads the support too
+    assert sum(cells) <= nx * ny * nz + nz * (1 + candidates) + prices * support
 
 
 def test_reduce_subcommand(tmp_path):

@@ -34,6 +34,7 @@ from hedonic_match.instances import (
     counterexample_plane_coupling,
     random_instance,
 )
+from hedonic_match.reduction import reduce
 from hedonic_match.solver import solve_hybrid
 from hedonic_match.surplus import (
     BilinearComponent,
@@ -729,3 +730,160 @@ def test_blocked_support_dimension_matches_one_block(monkeypatch, rows):
     assert m % 2 == 1  # 2 rows leave a ragged last block
     assert len(set(whole.local_counts)) > 1
     assert blocked.to_dict() == whole.to_dict()
+
+
+# --- the reduction path -------------------------------------------------------
+
+def _full_grid_stability(s, coupling, U, V):
+    """verify_stability's report without W, by numpy over the whole grid."""
+    X, Y, Z = coupling.mu.points, coupling.nu.points, coupling.z_points
+    grid = s.value_grid(X, Y, Z)
+    residual = grid - U[:, None, None] - V[None, :, None]
+    wi, wj, wk = np.unravel_index(np.argmax(residual), residual.shape)
+    max_grid = float(np.max(residual))
+    max_support = float(np.max(np.abs(residual[tuple(coupling.indices.T)])))
+    tol = STABILITY_TOL * grid_scale(grid)
+    return {
+        "max_grid_residual": max_grid,
+        "max_support_residual": max_support,
+        "stable": max_grid <= tol and max_support <= tol,
+        "worst_triple": {"indices": [int(wi), int(wj), int(wk)],
+                         "x": X[wi].tolist(), "y": Y[wj].tolist(),
+                         "z": Z[wk].tolist(),
+                         "residual": float(residual[wi, wj, wk])},
+        "tol": tol,
+    }
+
+
+def _full_grid_members(s, X, V, Y, Z, tol):
+    """(slice maxima, members in (x, y, z) order) over the whole grid."""
+    delta = s.value_grid(X, Y, Z) - V[None, :, None]
+    shifts = np.max(delta, axis=(1, 2))
+    members = np.argwhere(delta >= (shifts - tol)[:, None, None])
+    return shifts.tolist(), [tuple(m) for m in members.tolist()]
+
+
+def _members(samples):
+    return [(i, j, k) for i, smp in enumerate(samples) for j, k in smp.member_indices]
+
+
+def _table(values):
+    """Tabulated surplus on integer nodes, its node points and a solve."""
+    values = np.asarray(values, dtype=float)
+    X, Y, Z = (np.arange(n, dtype=float)[:, None] for n in values.shape)
+    s = TabulatedSurplus(values, X[:, 0], Y[:, 0], Z[:, 0])
+    res = solve_hybrid(s, DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y), Z)
+    return s, X, Y, Z, res
+
+
+def _tied_table():
+    """Integers in {0, ..., 3}, with 9 planted twice in the z-column of pair
+    (1, 3), at k = 1 and 3, and once at (4, 0, 2): under zero potentials
+    the worst residual ties across goods and across pairs."""
+    values = np.random.default_rng(3).integers(0, 4, size=(6, 5, 4))
+    values[1, 3, 1] = values[1, 3, 3] = values[4, 0, 2] = 9
+    return _table(values)
+
+
+@pytest.mark.parametrize("potentials", ["zero", "integer", "solve"])
+def test_stability_from_the_reduction_matches_the_full_grid(potentials):
+    s, X, Y, Z, res = _tied_table()
+    U, V = {
+        "zero": (np.zeros(6), np.zeros(5)),
+        "integer": (np.array([3.0, 1, 4, 1, 5, 2]), np.array([2.0, 7, 1, 0, 3])),
+        "solve": (res.potentials.U, res.potentials.V),
+    }[potentials]
+    pots = DualPotentials(U, V)
+    expected = _full_grid_stability(s, res.coupling, U, V)
+    if potentials == "zero":
+        assert expected["worst_triple"]["indices"] == [1, 3, 1]
+    assert verify_stability(s, res.coupling, pots).to_dict() == expected
+    assert verify_stability(s, res.coupling, pots,
+                            reduced=res.reduction).to_dict() == expected
+
+
+def test_stability_names_the_first_good_whose_residual_rounds_to_the_max():
+    # s(0, 0, 1) exceeds s(0, 0, 0), so the reduction's argmax is k = 1, but
+    # both round to one residual beside U = 1e6: the grid's first worst
+    # triple is (0, 0, 0)
+    values = np.full((2, 2, 3), -5.0)
+    values[0, 0, :2] = 0.1, 0.1 + 1e-12
+    s, X, Y, Z, res = _table(values)
+    U, V = np.full(2, 1e6), np.zeros(2)
+    assert values[0, 0, 0] - U[0] == values[0, 0, 1] - U[0]
+    assert res.reduction.argmax[0, 0] == 1
+    rep = verify_stability(s, res.coupling, DualPotentials(U, V),
+                           reduced=res.reduction)
+    assert rep.worst_triple["indices"] == [0, 0, 0]
+    assert rep.to_dict() == _full_grid_stability(s, res.coupling, U, V)
+    # the same rounding makes both goods members of the first slice
+    samples, _ = sample_splitting_sets(s, X, np.full(2, 1e6), Y, Z,
+                                       reduced=res.reduction)
+    assert samples[0].member_indices == ((0, 0), (0, 1))
+
+
+def test_stability_keeps_the_first_nan():
+    values = np.zeros((3, 2, 4))
+    values[1, 0, 2] = values[1, 1, 0] = values[2, 0, 0] = np.nan
+    values[0, 1, 3] = 4.0
+    s, X, Y, Z, _ = _table(np.zeros((3, 2, 4)))
+    nan_s = TabulatedSurplus(values, X[:, 0], Y[:, 0], Z[:, 0])
+    coupling = solve_hybrid(s, DiscreteMeasure.uniform(X),
+                            DiscreteMeasure.uniform(Y), Z).coupling
+    pots = DualPotentials(np.zeros(3), np.zeros(2))
+    rep = verify_stability(nan_s, coupling, pots)
+    assert rep.worst_triple["indices"] == [1, 0, 2]
+    assert np.isnan(rep.max_grid_residual) and not rep.stable
+
+
+@pytest.mark.parametrize("V", ["zero", "solve"])
+def test_splitting_sets_from_the_reduction_match_the_full_grid(V):
+    s, X, Y, Z, res = _tied_table()
+    V = np.zeros(5) if V == "zero" else res.potentials.V
+    shifts, members = _full_grid_members(s, X, V, Y, Z, STABILITY_TOL)
+    for reduced in (None, res.reduction):
+        samples, _ = sample_splitting_sets(s, X, V, Y, Z, reduced=reduced)
+        assert [smp.shift for smp in samples] == shifts
+        assert _members(samples) == members
+
+
+def test_splitting_members_exactly_at_tol():
+    # quarter steps: members sit at shift - tol exactly, and the next value
+    # down is out
+    values = np.random.default_rng(5).integers(0, 9, size=(5, 4, 3)) / 4.0
+    s, X, Y, Z, res = _table(values)
+    V = np.array([0.0, 0.5, 0.25, 1.0])
+    tol = 0.5
+    shifts, members = _full_grid_members(s, X, V, Y, Z, tol)
+    delta = values - V[None, :, None]
+    at_tol = delta == (np.array(shifts) - tol)[:, None, None]
+    assert at_tol.any()
+    assert {tuple(m) for m in np.argwhere(at_tol).tolist()} <= set(members)
+    samples, _ = sample_splitting_sets(s, X, V, Y, Z, tol=tol, reduced=res.reduction)
+    assert _members(samples) == members
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_candidate_columns_split_into_chunks(monkeypatch, rows):
+    s, X, Y, Z, res = _tied_table()
+    V = np.zeros(5)
+    _, members = _full_grid_members(s, X, V, Y, Z, STABILITY_TOL)
+    whole, whole_rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
+    pairs = {(i, j) for i, j, _ in members}
+    assert len(pairs) > 2 * rows  # several chunks, the last one ragged or not
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", rows * Z.shape[0] + 1)
+    chunked, rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
+    assert _members(chunked) == members
+    assert [smp.to_dict() for smp in chunked] == [smp.to_dict() for smp in whole]
+    assert rep.to_dict() == whole_rep.to_dict()
+
+
+def test_a_reduction_of_other_points_is_refused():
+    s, X, Y, Z, res = _tied_table()
+    V = np.zeros(5)
+    for other in (reduce(s, X[:-1], Y, Z), reduce(s, X, Y[:-1], Z),
+                  reduce(s, X, Y, Z[:-1]), reduce(s, X, Y, Z[::-1])):
+        with pytest.raises(SizeMismatch):
+            verify_stability(s, res.coupling, res.potentials, reduced=other)
+        with pytest.raises(SizeMismatch):
+            sample_splitting_sets(s, X, V, Y, Z, reduced=other)
