@@ -499,26 +499,28 @@ def _close_after(G: np.ndarray, a: int, tol: float) -> np.ndarray:
 
 def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
     """Transitive closure of the relation ‖g_a − g_b‖∞ ≤ grad_tol over the
-    rows of grads."""
+    rows of grads: ascending clusters, ordered by their smallest row.
+
+    Each cluster grows from the smallest row not yet taken; every row it
+    takes is compared with all rows still untaken in one vectorised step.
+    """
     G = np.asarray(grads, dtype=float)
-    n = G.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n - 1):
-        for b in _close_after(G, a, grad_tol):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-    return [groups[r] for r in sorted(groups)]
+    free = np.ones(G.shape[0], dtype=bool)
+    clusters = []
+    for root in range(G.shape[0]):
+        if not free[root]:
+            continue
+        free[root] = False
+        cluster, queue = [root], [root]
+        while queue:
+            a = queue.pop()
+            rest = np.flatnonzero(free)
+            near = rest[np.max(np.abs(G[rest] - G[a]), axis=-1) <= grad_tol]
+            free[near] = False
+            cluster += near.tolist()
+            queue += near.tolist()
+        clusters.append(sorted(cluster))
+    return clusters
 
 
 def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,

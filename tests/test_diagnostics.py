@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedonic_match import diagnostics, surplus
 from hedonic_match.core import (
@@ -452,6 +454,17 @@ def test_gradient_clusters_are_the_transitive_closure():
         grads = rng.integers(0, 6, (n, d)) * 0.5
         tol = float(rng.choice([0.0, 0.5, 1.0]))
         assert _cluster_by_gradient(grads, tol) == _closure_by_brute_force(grads, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2]), data=st.data(),
+       tol=st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+def test_gradient_clusters_match_the_closure_at_the_tolerance(d, data, tol):
+    # half-integer gradients put many distances exactly at tol
+    rows = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=d, max_size=d),
+                              min_size=1, max_size=40))
+    grads = np.array(rows, dtype=float) * 0.5
+    assert _cluster_by_gradient(grads, tol) == _closure_by_brute_force(grads, tol)
 
 
 # --- strictly hedonic -------------------------------------------------------
