@@ -788,27 +788,24 @@ def support_dimension(coupling: Coupling, radius: float, s=None,
     if m < 10:
         raise TooFewPoints(f"{m} support points; need 1 or >= 10")
 
-    counts = []
     r2 = radius * radius
+    covs = np.empty((m, pts.shape[1], pts.shape[1]))
     # squared distances from one block of support points at a time
     rows = max(1, _GRID_BLOCK_CELLS // (m * pts.shape[1]))
     for lo in range(0, m, rows):
         d2 = np.sum((pts[lo:lo + rows, None, :] - pts[None, :, :]) ** 2, axis=2)
-        for near in d2 <= r2:
+        for a, near in enumerate(d2 <= r2, start=lo):
             nbr = pts[near]
             centered = nbr - nbr.mean(axis=0)
-            cov = centered.T @ centered / nbr.shape[0]
-            eigs = np.linalg.eigvalsh(cov)
-            top = float(eigs[-1])
-            if top <= 0.0:
-                counts.append(0)
-            else:
-                counts.append(int(np.sum(eigs >= eig_cutoff * top)))
+            covs[a] = centered.T @ centered / nbr.shape[0]
+    eigs = np.linalg.eigvalsh(covs)
+    top = eigs[:, -1:]
+    counts = np.where(top[:, 0] <= 0.0, 0, np.sum(eigs >= eig_cutoff * top, axis=1))
     mean_count = float(np.mean(counts))
     return SupportDimensionReport(
         estimate=int(round(mean_count)),
         mean_count=mean_count,
-        local_counts=tuple(counts),
+        local_counts=tuple(counts.tolist()),
         radius=radius,
         cutoff=eig_cutoff,
         signature_bound=bound,
