@@ -23,7 +23,8 @@ from .surplus import (
     signature,
 )
 
-# a fraction of the range of s in verify_stability and compute_prices, else absolute
+# a fraction of the range of s in verify_stability, compute_prices and
+# sample_splitting_sets, else absolute
 STABILITY_TOL = 1e-8
 MASS_THRESHOLD = 1e-12
 EIG_REL_TOL = 1e-10
@@ -530,10 +531,11 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     """Extract z-trivial splitting sets and test the sampled twist.
 
     For each x the members are the (y,z) grid pairs attaining the slice
-    maximum of s(x,·,·) − V(·) within tol.  Each slice is implicitly shifted
-    by that maximum (splitting functions are defined up to a constant per x);
-    require_feasible instead insists the maximum is ≤ tol and raises
-    InfeasibleV when it is not.
+    maximum of s(x,·,·) − V(·) within tol, a fraction of the grid's range
+    max − min (the samples give it in absolute units).  Each slice is
+    implicitly shifted by that maximum (splitting functions are defined up
+    to a constant per x); require_feasible instead insists the maximum is
+    ≤ tol and raises InfeasibleV when it is not.
 
     The slice maxima come from the reduction sbar = max_z s (pass the
     solve's as reduced, or it is computed here): subtraction is monotone, so
@@ -543,6 +545,8 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
 
     The sampled twist fails when one gradient cluster contains two members
     whose (y,z) points genuinely differ; the report carries the witness.
+    Gradients cluster within grad_tol, by default 1e-6 of the largest
+    gradient entry of the slice.
     """
     X = as_point_array(xs)
     Y = as_point_array(ys)
@@ -551,6 +555,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     if V.size != Y.shape[0]:
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
     red = _reduction_for(s, X, Y, Z, reduced)
+    tol = tol * red.grid_scale
     delta = red.values - V[None, :]
     shifts = np.max(delta, axis=1)
     if require_feasible and np.any(shifts > tol):
@@ -591,7 +596,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
             continue
         local_tol = grad_tol
         if local_tol is None:
-            local_tol = 1e-6 * (1.0 + float(np.max(np.abs(grads))))
+            local_tol = 1e-6 * float(np.max(np.abs(grads)))
         clusters = _cluster_by_gradient(grads, local_tol)
         cluster_sizes.append(sorted(len(c) for c in clusters))
         if witness is not None:

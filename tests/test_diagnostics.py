@@ -39,6 +39,7 @@ from hedonic_match.instances import (
 from hedonic_match.reduction import reduce
 from hedonic_match.solver import solve_hybrid
 from hedonic_match.surplus import (
+    SurplusModel,
     BilinearComponent,
     BilinearSurplus,
     CounterexampleSurplus,
@@ -714,9 +715,10 @@ def test_blocked_splitting_sets_match_the_full_grid(monkeypatch, market, rows):
     s, res, pots = _blocked_solve(market)
     c = res.coupling
     xs, ys, zs = c.mu.points, c.nu.points, c.z_points
-    delta = s.value_grid(xs, ys, zs) - pots.V[None, :, None]
+    grid = s.value_grid(xs, ys, zs)
+    delta = grid - pots.V[None, :, None]
     shifts = np.max(delta, axis=(1, 2))
-    idx = np.argwhere(delta >= (shifts - STABILITY_TOL)[:, None, None])
+    idx = np.argwhere(delta >= (shifts - STABILITY_TOL * grid_scale(grid))[:, None, None])
     _block_rows(monkeypatch, rows, delta.shape[1] * delta.shape[2])
     samples, rep = sample_splitting_sets(s, xs, pots.V, ys, zs)
     assert [smp.shift for smp in samples] == shifts.tolist()
@@ -768,11 +770,13 @@ def _full_grid_stability(s, coupling, U, V):
     }
 
 
-def _full_grid_members(s, X, V, Y, Z, tol):
-    """(slice maxima, members in (x, y, z) order) over the whole grid."""
-    delta = s.value_grid(X, Y, Z) - V[None, :, None]
+def _full_grid_members(s, X, V, Y, Z, tol=STABILITY_TOL):
+    """(slice maxima, members in (x, y, z) order) over the whole grid, with
+    tol a fraction of the grid's range."""
+    grid = s.value_grid(X, Y, Z)
+    delta = grid - V[None, :, None]
     shifts = np.max(delta, axis=(1, 2))
-    members = np.argwhere(delta >= (shifts - tol)[:, None, None])
+    members = np.argwhere(delta >= (shifts - tol * grid_scale(grid))[:, None, None])
     return shifts.tolist(), [tuple(m) for m in members.tolist()]
 
 
@@ -853,7 +857,7 @@ def test_stability_keeps_the_first_nan():
 def test_splitting_sets_from_the_reduction_match_the_full_grid(V):
     s, X, Y, Z, res = _tied_table()
     V = np.zeros(5) if V == "zero" else res.potentials.V
-    shifts, members = _full_grid_members(s, X, V, Y, Z, STABILITY_TOL)
+    shifts, members = _full_grid_members(s, X, V, Y, Z)
     for reduced in (None, res.reduction):
         samples, _ = sample_splitting_sets(s, X, V, Y, Z, reduced=reduced)
         assert [smp.shift for smp in samples] == shifts
@@ -861,18 +865,20 @@ def test_splitting_sets_from_the_reduction_match_the_full_grid(V):
 
 
 def test_splitting_members_exactly_at_tol():
-    # quarter steps: members sit at shift - tol exactly, and the next value
-    # down is out
+    # quarter steps over a range of 2, so tol = 1/4 of it is 0.5 exactly:
+    # members sit at shift - 0.5, and the next value down is out
     values = np.random.default_rng(5).integers(0, 9, size=(5, 4, 3)) / 4.0
+    values[0, 0, :2] = 0.0, 2.0
     s, X, Y, Z, res = _table(values)
     V = np.array([0.0, 0.5, 0.25, 1.0])
-    tol = 0.5
+    tol = 0.25
     shifts, members = _full_grid_members(s, X, V, Y, Z, tol)
     delta = values - V[None, :, None]
-    at_tol = delta == (np.array(shifts) - tol)[:, None, None]
+    at_tol = delta == (np.array(shifts) - 0.5)[:, None, None]
     assert at_tol.any()
     assert {tuple(m) for m in np.argwhere(at_tol).tolist()} <= set(members)
     samples, _ = sample_splitting_sets(s, X, V, Y, Z, tol=tol, reduced=res.reduction)
+    assert samples[0].tol == 0.5
     assert _members(samples) == members
 
 
@@ -880,7 +886,7 @@ def test_splitting_members_exactly_at_tol():
 def test_candidate_columns_split_into_chunks(monkeypatch, rows):
     s, X, Y, Z, res = _tied_table()
     V = np.zeros(5)
-    _, members = _full_grid_members(s, X, V, Y, Z, STABILITY_TOL)
+    _, members = _full_grid_members(s, X, V, Y, Z)
     whole, whole_rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
     pairs = {(i, j) for i, j, _ in members}
     assert len(pairs) > 2 * rows  # several chunks, the last one ragged or not
@@ -900,3 +906,48 @@ def test_a_reduction_of_other_points_is_refused():
             verify_stability(s, res.coupling, res.potentials, reduced=other)
         with pytest.raises(SizeMismatch):
             sample_splitting_sets(s, X, V, Y, Z, reduced=other)
+
+
+class _Affine(SurplusModel):
+    """c·s + t for a base model s: its values and gradients."""
+
+    def __init__(self, base, c, t=0.0):
+        self.base, self.c, self.t = base, c, t
+
+    @property
+    def dims(self):
+        return self.base.dims
+
+    def _kernel(self, X, Y, Z):
+        return self.c * self.base._kernel(X, Y, Z) + self.t
+
+    def _grad(self, X, Y, Z):
+        return tuple(self.c * g for g in self.base._grad(X, Y, Z))
+
+
+AFFINE = [(1e-12, 0.0), (1e-6, 0.0), (1e6, 0.0), (1e12, 0.0),
+          (1.0, 1e3), (1.0, -1e5), (1e-12, 3e-10), (1e12, -4e15)]
+
+
+def _splitting_market(name):
+    """(model, X, V, Y, Z) with fat splitting sets (a = 1/2), slices whose
+    members tie across goods (a = 1) and a reduce_lift solve."""
+    if name == "solve":
+        inst = random_instance(0, n=40, nz=9, family="supermodular")
+        V = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points).potentials.V
+        return inst.surplus, inst.mu.points, V, inst.nu.points, inst.z_points
+    plane = counterexample_instance()
+    return (CounterexampleSurplus(0.5 if name == "a=1/2" else 1.0), plane.mu.points,
+            0.5 * plane.nu.points[:, 0] ** 2, plane.nu.points, plane.z_points)
+
+
+@pytest.mark.parametrize("c, t", AFFINE)
+@pytest.mark.parametrize("market", ["a=1/2", "a=1", "solve"])
+def test_splitting_sets_are_scale_free(market, c, t):
+    s, X, V, Y, Z = _splitting_market(market)
+    ref, ref_rep = sample_splitting_sets(s, X, V, Y, Z)
+    samples, rep = sample_splitting_sets(_Affine(s, c, t), X, c * V, Y, Z)
+    assert _members(samples) == _members(ref)
+    assert rep.verdict == ref_rep.verdict
+    assert rep.details == ref_rep.details
+    assert samples[0].tol == pytest.approx(c * ref[0].tol, rel=1e-12)
