@@ -189,7 +189,7 @@ def _family_twists(s, solved, mu, nu, zs, reduced) -> dict:
                                                       s.D).to_dict()
     if getattr(s, "family", "") == "strictly_hedonic":
         checks["strictly_hedonic"] = check_strictly_hedonic(
-            s.u, s.v, mu.points, nu.points, zs).to_dict()
+            s.u, s.v, mu.points, nu.points, zs, reduced=reduced).to_dict()
     _, sampled = sample_splitting_sets(s, mu.points, solved.potentials.V,
                                        nu.points, zs, reduced=reduced)
     checks["tzss_sampled"] = sampled.to_dict()
@@ -213,8 +213,8 @@ def _cmd_diagnose(args) -> int:
             "warnings": list(solved.warnings),
         },
     }
-    # one pass over the surplus grid: the stability check (without W) and the
-    # splitting sets read the solve's reduction
+    # one pass over the surplus grid: the stability check (without W), the
+    # splitting sets and the strictly hedonic check read the solve's reduction
     reduced = solved.reduction
     if reduced is None:
         reduced = reduce_surplus(s, mu.points, nu.points, zs)

@@ -628,14 +628,15 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
 
 
 def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
-                           tol: float = STABILITY_TOL) -> TwistReport:
+                           tol: float = STABILITY_TOL, reduced=None) -> TwistReport:
     """Sufficient conditions for the twist when s = u(x,z) + v(y,z).
 
     u and v are hedonic components (value/grad_p/grad_z over (p,z)); a full
     surplus model with separate u,v may be passed for both, in which case
     separability is verified numerically first (NotSeparable on failure).
     Checks injectivity of z ↦ D_x u(x,z) and of y ↦ D_z v(y,z), then flags
-    boundary argmaxes of s(x,y,·), which void the interior-maximum proviso.
+    boundary argmaxes of s(x,y,·), which void the interior-maximum proviso;
+    they come from reduced, the reduction of s = u + v, when it is passed.
     """
     X = as_point_array(xs)
     Y = as_point_array(ys)
@@ -689,7 +690,7 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
             details={"grad_tol": grad_tol},
         )
 
-    red = reduce(s_model, X, Y, Z)
+    red = _reduction_for(s_model, X, Y, Z, reduced)
     if red.any_boundary:
         bi, bj = np.argwhere(red.boundary)[0]
         return TwistReport(

@@ -29,7 +29,12 @@ from hedonic_match.serialize import (
 )
 from hedonic_match.diagnostics import sample_splitting_sets
 from hedonic_match.solver import PivotBudgetExceeded, solve_hybrid
-from hedonic_match.surplus import BilinearSurplus, surplus_from_dict
+from hedonic_match.surplus import (
+    BilinearComponent,
+    BilinearSurplus,
+    StrictlyHedonicSurplus,
+    surplus_from_dict,
+)
 
 ARTIFACTS = ("solve_result.json", "coupling.json", "potentials.csv")
 
@@ -146,22 +151,37 @@ def test_diagnose_with_alpha_checks_the_good_potential(tmp_path, seed):
     assert report["stability"]["stable"] is True
 
 
-@pytest.mark.parametrize("family", ["supermodular", "counterexample", "bilinear"])
+def _guard_market(family):
+    """(surplus, mu, nu, z points) on n = 30 buyers and sellers, nz = 9."""
+    if family != "strictly_hedonic":
+        inst = random_instance(0, n=30, nz=9, family=family)
+        return inst.surplus, inst.mu, inst.nu, inst.z_points
+    rng = np.random.default_rng(0)
+    s = StrictlyHedonicSurplus(BilinearComponent([[1.0]], Dz=[[-1.0]]),
+                               BilinearComponent([[0.8]], h=[0.0, 0.2]))
+    mu, nu = (DiscreteMeasure.uniform(np.sort(rng.uniform(size=(30, 1)), axis=0))
+              for _ in range(2))
+    return s, mu, nu, np.linspace(0.0, 1.0, 9)[:, None]
+
+
+@pytest.mark.parametrize("family", ["supermodular", "counterexample", "bilinear",
+                                    "strictly_hedonic"])
 def test_diagnose_reads_the_surplus_grid_once(tmp_path, monkeypatch, family):
     # every surplus value the diagnose evaluates: one grid in reduce, one
     # z-column for the worst residual, the support triples, and the
     # z-columns of the splitting-set candidates (the pairs holding members)
-    inst = random_instance(0, n=30, nz=9, family=family)
-    nx, ny, nz = inst.mu.size, inst.nu.size, inst.z_points.shape[0]
-    res = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
-    samples, _ = sample_splitting_sets(inst.surplus, inst.mu.points,
-                                       res.potentials.V, inst.nu.points,
-                                       inst.z_points)
+    s, mu, nu, zs = _guard_market(family)
+    dump_json(s.to_dict(), tmp_path / "surplus.json")
+    measure_to_csv(mu, tmp_path / "mu.csv")
+    measure_to_csv(nu, tmp_path / "nu.csv")
+    measure_to_csv(DiscreteMeasure.uniform(zs), tmp_path / "z.csv")
+    res = solve_hybrid(s, mu, nu, zs)
+    samples, _ = sample_splitting_sets(s, mu.points, res.potentials.V, nu.points, zs)
     candidates = len({(i, j) for i, smp in enumerate(samples)
                       for j, _ in smp.member_indices})
     support = res.coupling.masses.size
     cells = []
-    cls = type(inst.surplus)
+    cls = type(s)
     kernel = cls._kernel
 
     def counting(self, X, Y, Z):
@@ -170,11 +190,13 @@ def test_diagnose_reads_the_surplus_grid_once(tmp_path, monkeypatch, family):
         return out
 
     monkeypatch.setattr(cls, "_kernel", counting)
-    code = main(["diagnose", "--random-instance", "0", "--n", "30", "--nz", "9",
-                 "--family", family, "--method", "reduce_lift",
+    code = main(["diagnose", "--surplus", str(tmp_path / "surplus.json"),
+                 "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                 "--z-points", str(tmp_path / "z.csv"), "--method", "reduce_lift",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
-    prices = 2 if inst.surplus.has_uv else 1  # compute_prices reads the support too
+    prices = 2 if s.has_uv else 1  # compute_prices reads the support too
+    nx, ny, nz = mu.size, nu.size, zs.shape[0]
     assert sum(cells) <= nx * ny * nz + nz * (1 + candidates) + prices * support
 
 

@@ -517,6 +517,19 @@ def test_strictly_hedonic_boundary_argmax_inconclusive():
     assert rep.verdict == "inconclusive"
 
 
+def test_strictly_hedonic_reads_a_given_reduction():
+    u = BilinearComponent([[1.0]])
+    v = BilinearComponent([[1.0]])
+    xs = GridSpec(0.25, 0.75, 3).points()
+    zs = GridSpec(0.0, 1.0, 5).points()
+    s = StrictlyHedonicSurplus(u, v)
+    rep = check_strictly_hedonic(u, v, xs, xs, zs)
+    given = check_strictly_hedonic(u, v, xs, xs, zs, reduced=reduce(s, xs, xs, zs))
+    assert given.to_dict() == rep.to_dict()
+    with pytest.raises(SizeMismatch):
+        check_strictly_hedonic(u, v, xs, xs, zs, reduced=reduce(s, xs[:-1], xs, zs))
+
+
 def test_strictly_hedonic_component_pair_and_full_model_agree():
     z_nodes = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     p_nodes = np.array([0.25, 0.5, 0.75])
