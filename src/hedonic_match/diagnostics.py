@@ -84,6 +84,16 @@ def _reduction_for(s, X, Y, Z, reduced):
     return reduced
 
 
+def _column_blocks(s, X, Y, Z):
+    """Yield (lo, block) with block[a, k] = s(X[lo + a], Y[lo + a], Z[k])
+    over blocks of at most _GRID_BLOCK_CELLS cells: the z-columns of the
+    pairs (X[a], Y[a]), bit for bit those of value_grid."""
+    X, Y, Z = (s._canon_grid(P, axis) for P, axis in ((X, "x"), (Y, "y"), (Z, "z")))
+    rows = max(1, _GRID_BLOCK_CELLS // Z.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        yield lo, s._kernel(X[lo:lo + rows, None], Y[lo:lo + rows, None], Z[None, :])
+
+
 def verify_stability(surplus_or_cost, coupling: Coupling,
                      potentials: DualPotentials,
                      tol: float = STABILITY_TOL,
@@ -567,7 +577,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     # the members in (x, y, z) order, from the candidates' z-columns
     pairs = np.argwhere(delta >= (shifts - tol)[:, None])
     blocks = [np.empty((0, 3), dtype=np.intp)]
-    for lo, cols in s._column_blocks(X[pairs[:, 0]], Y[pairs[:, 1]], Z):
+    for lo, cols in _column_blocks(s, X[pairs[:, 0]], Y[pairs[:, 1]], Z):
         at = pairs[lo:lo + cols.shape[0]]
         cols -= V[at[:, 1], None]
         a, k = np.nonzero(cols >= (shifts[at[:, 0]] - tol)[:, None])

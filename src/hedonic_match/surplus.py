@@ -36,9 +36,8 @@ from .core import DimensionMismatch, ValidationError, as_point_array
 
 ZERO_EIG_REL = 1e-9
 PIVOT_REL_TOL = 1e-10
-# cells per block of _grid_blocks and _column_blocks: 512 KiB of float64,
-# below the CLI's mmap threshold, so blocks reuse heap memory instead of
-# fresh mappings
+# cells per row block of _grid_blocks: 512 KiB of float64, below the CLI's
+# mmap threshold, so blocks reuse heap memory instead of fresh mappings
 _GRID_BLOCK_CELLS = 1 << 16
 
 
@@ -268,20 +267,6 @@ class SurplusModel:
         rows = max(1, _GRID_BLOCK_CELLS // max(1, Y.shape[0] * Z.shape[0]))
         for lo in range(0, X.shape[0], rows):
             yield lo, self.value_grid(X[lo:lo + rows], Y, Z)
-
-    def _column_blocks(self, xs, ys, zs):
-        """Yield (lo, block) with block[a, k] = s(X[lo + a], Y[lo + a], Z[k])
-        over blocks of paired X and Y rows of at most _GRID_BLOCK_CELLS cells:
-        the z-columns of the pairs, bit for bit those of value_grid."""
-        X = self._canon_grid(xs, "x")
-        Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        if X.shape[0] != Y.shape[0]:
-            raise DimensionMismatch("_column_blocks needs equal-length x and y lists")
-        rows = max(1, _GRID_BLOCK_CELLS // max(1, Z.shape[0]))
-        for lo in range(0, X.shape[0], rows):
-            yield lo, self._kernel(X[lo:lo + rows, None], Y[lo:lo + rows, None],
-                                   Z[None, :])
 
     def value_u(self, x, y, z) -> float:
         raise MissingUV(f"{self.family} model has no separate buyer utility")

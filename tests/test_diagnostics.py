@@ -903,7 +903,7 @@ def test_candidate_columns_split_into_chunks(monkeypatch, rows):
     whole, whole_rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
     pairs = {(i, j) for i, j, _ in members}
     assert len(pairs) > 2 * rows  # several chunks, the last one ragged or not
-    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", rows * Z.shape[0] + 1)
+    monkeypatch.setattr(diagnostics, "_GRID_BLOCK_CELLS", rows * Z.shape[0] + 1)
     chunked, rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
     assert _members(chunked) == members
     assert [smp.to_dict() for smp in chunked] == [smp.to_dict() for smp in whole]
