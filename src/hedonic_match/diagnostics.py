@@ -516,20 +516,16 @@ def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
     takes is compared with all rows still untaken in one vectorised step.
     """
     G = np.asarray(grads, dtype=float)
-    free = np.ones(G.shape[0], dtype=bool)
+    rest = np.arange(G.shape[0])  # the rows not yet taken, ascending
     clusters = []
-    for root in range(G.shape[0]):
-        if not free[root]:
-            continue
-        free[root] = False
-        cluster, queue = [root], [root]
-        while queue:
-            a = queue.pop()
-            rest = np.flatnonzero(free)
-            near = rest[np.max(np.abs(G[rest] - G[a]), axis=-1) <= grad_tol]
-            free[near] = False
-            cluster += near.tolist()
-            queue += near.tolist()
+    while rest.size:
+        cluster, rest = [int(rest[0])], rest[1:]
+        for a in cluster:  # grows while it is walked
+            if not rest.size:
+                break
+            near = np.abs(G[rest] - G[a]).max(axis=-1) <= grad_tol
+            cluster += rest[near].tolist()
+            rest = rest[~near]
         clusters.append(sorted(cluster))
     return clusters
 
