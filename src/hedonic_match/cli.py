@@ -189,7 +189,7 @@ def _family_twists(s, solved, mu, nu, zs, reduced) -> dict:
                                                       s.D).to_dict()
     if getattr(s, "family", "") == "strictly_hedonic":
         checks["strictly_hedonic"] = check_strictly_hedonic(
-            s.u, s.v, mu.points, nu.points, zs, reduced=reduced).to_dict()
+            s, None, mu.points, nu.points, zs, reduced=reduced).to_dict()
     _, sampled = sample_splitting_sets(s, mu.points, solved.potentials.V,
                                        nu.points, zs, reduced=reduced)
     checks["tzss_sampled"] = sampled.to_dict()

@@ -50,10 +50,6 @@ class BadAxes(ValidationError):
     pass
 
 
-class EvalDomainError(ValidationError):
-    pass
-
-
 def _as_points(points) -> np.ndarray:
     """Coerce point data to a float (n, d) array. 1-D input means d = 1."""
     try:

@@ -24,7 +24,7 @@ from .surplus import (
 )
 
 # a fraction of the range of s in verify_stability, compute_prices and
-# sample_splitting_sets, else absolute
+# sample_splitting_sets, and of u and v in the separability check
 STABILITY_TOL = 1e-8
 MASS_THRESHOLD = 1e-12
 EIG_REL_TOL = 1e-10
@@ -286,13 +286,13 @@ class PriceTable:
         }
 
 
-def compute_prices(s, coupling: Coupling, potentials: DualPotentials,
-                   tol: float = STABILITY_TOL) -> PriceTable:
+def compute_prices(s, coupling: Coupling, potentials: DualPotentials) -> PriceTable:
     """Transfer prices on the support of a (stable) coupling.
 
     Needs a model that exposes u and v separately; on a stable support the
-    two formulas agree within tol, a fraction of the range of s over the
-    support, and the table records their difference and tol in absolute units.
+    two formulas agree within STABILITY_TOL times the range of s over the
+    support, and the table records their difference and that tolerance in
+    absolute units.
     """
     if not getattr(s, "has_uv", False):
         raise MissingUV("price recovery needs separate u and v")
@@ -302,26 +302,18 @@ def compute_prices(s, coupling: Coupling, potentials: DualPotentials,
     if U.size != coupling.mu.size or V.size != coupling.nu.size:
         raise SizeMismatch("potentials sized inconsistently with the coupling")
     i, j, k = coupling.indices.T
-    scale = grid_scale(s.value_batch(coupling.mu.points[i], coupling.nu.points[j],
-                                     coupling.z_points[k]))
-    rows = []
-    worst = 0.0
-    for (i, j, k), w in zip(coupling.indices, coupling.masses):
-        i, j, k = int(i), int(j), int(k)
-        x = coupling.mu.points[i]
-        y = coupling.nu.points[j]
-        z = coupling.z_points[k]
-        u_val = s.value_u(x, y, z)
-        v_val = s.value_v(x, y, z)
-        p_buyer = u_val - float(U[i])
-        p_seller = float(V[j]) - v_val
-        diff = abs(p_buyer - p_seller)
-        worst = max(worst, diff)
-        rows.append({
-            "i": i, "j": j, "k": k, "mass": float(w),
-            "p_buyer": p_buyer, "p_seller": p_seller, "diff": diff,
-        })
-    return PriceTable(rows=tuple(rows), max_discrepancy=worst, tol=tol * scale)
+    X, Y, Z = coupling.mu.points[i], coupling.nu.points[j], coupling.z_points[k]
+    scale = grid_scale(s.value_batch(X, Y, Z))
+    u, v = s._uv(X, Y, Z)
+    p_buyer = u - U[i]
+    p_seller = V[j] - v
+    diff = np.abs(p_buyer - p_seller)
+    columns = (i, j, k, coupling.masses, p_buyer, p_seller, diff)
+    rows = tuple(dict(zip(("i", "j", "k", "mass", "p_buyer", "p_seller", "diff"), row))
+                 for row in zip(*(c.tolist() for c in columns)))
+    # a NaN difference does not count toward the maximum
+    worst = float(np.fmax.reduce(diff, initial=0.0))
+    return PriceTable(rows=rows, max_discrepancy=worst, tol=STABILITY_TOL * scale)
 
 
 # --- twist checkers ---------------------------------------------------------
@@ -348,7 +340,7 @@ class TwistReport:
         }
 
 
-def check_compatibility_1d(s, points, degenerate_tol: float = 1e-12) -> TwistReport:
+def check_compatibility_1d(s, points) -> TwistReport:
     """One-dimensional compatibility: s_xy · s_xz / s_yz > 0 at every sample.
 
     A vanishing product counts as a failure (witness value 0); a vanishing
@@ -359,7 +351,7 @@ def check_compatibility_1d(s, points, degenerate_tol: float = 1e-12) -> TwistRep
     X, Y, Z = (s._canon_grid([triple[a] for triple in points], axis)
                for a, axis in enumerate("xyz"))
     sxy, sxz, syz = (b[:, 0, 0] for b in s._hess(X, Y, Z))
-    degenerate = np.abs(syz) <= degenerate_tol * (1.0 + np.abs(sxy) + np.abs(sxz))
+    degenerate = np.abs(syz) <= 1e-12 * (1.0 + np.abs(sxy) + np.abs(sxz))
     with np.errstate(divide="ignore", invalid="ignore"):
         product = sxy * sxz / syz
     # the first point that is degenerate or failing decides the outcome
@@ -382,7 +374,7 @@ def check_compatibility_1d(s, points, degenerate_tol: float = 1e-12) -> TwistRep
     )
 
 
-def check_tss_bilinear(A, B, C, tol: float = EIG_REL_TOL) -> TwistReport:
+def check_tss_bilinear(A, B, C) -> TwistReport:
     """Twist on splitting sets for bilinear surplus: the symmetric matrix
     CᵀA⁻¹B + Bᵀ(Aᵀ)⁻¹C must be positive definite.
     """
@@ -398,7 +390,7 @@ def check_tss_bilinear(A, B, C, tol: float = EIG_REL_TOL) -> TwistReport:
         return TwistReport(criterion="TSS-bilinear", verdict="inconclusive",
                            details={"reason": f"singular A: {exc}"})
     eigs = np.linalg.eigvalsh(M)
-    threshold = tol * float(np.linalg.norm(M))
+    threshold = EIG_REL_TOL * float(np.linalg.norm(M))
     min_eig = float(eigs[0])
     if min_eig > threshold:
         return TwistReport(
@@ -414,7 +406,7 @@ def check_tss_bilinear(A, B, C, tol: float = EIG_REL_TOL) -> TwistReport:
     )
 
 
-def check_tzss_bilinear(A, B, C, D, tol: float = EIG_REL_TOL) -> TwistReport:
+def check_tzss_bilinear(A, B, C, D) -> TwistReport:
     """Twist on z-trivial splitting sets for bilinear surplus.
 
     Three gates: C invertible, D + Dᵀ negative definite, and the criterion
@@ -437,7 +429,7 @@ def check_tzss_bilinear(A, B, C, D, tol: float = EIG_REL_TOL) -> TwistReport:
 
     S = D + D.T
     s_eigs = np.linalg.eigvalsh(S)
-    s_threshold = tol * float(np.linalg.norm(S))
+    s_threshold = EIG_REL_TOL * float(np.linalg.norm(S))
     max_eig = float(s_eigs[-1])
     if not max_eig < -s_threshold:
         return TwistReport(
@@ -531,8 +523,6 @@ def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
 
 
 def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
-                          grad_tol: float | None = None,
-                          point_tol: float = POINT_SEP_TOL,
                           require_feasible: bool = False, reduced=None):
     """Extract z-trivial splitting sets and test the sampled twist.
 
@@ -550,9 +540,9 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     are evaluated.
 
     The sampled twist fails when one gradient cluster contains two members
-    whose (y,z) points genuinely differ; the report carries the witness.
-    Gradients cluster within grad_tol, by default 1e-6 of the largest
-    gradient entry of the slice.
+    whose (y,z) points differ by more than POINT_SEP_TOL; the report carries
+    the witness.  Gradients cluster within 1e-6 of the largest gradient
+    entry of the slice.
     """
     X = as_point_array(xs)
     Y = as_point_array(ys)
@@ -600,10 +590,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
         ))
         if hi == lo:
             continue
-        local_tol = grad_tol
-        if local_tol is None:
-            local_tol = 1e-6 * float(np.max(np.abs(grads)))
-        clusters = _cluster_by_gradient(grads, local_tol)
+        clusters = _cluster_by_gradient(grads, 1e-6 * float(np.max(np.abs(grads))))
         cluster_sizes.append(sorted(len(c) for c in clusters))
         if witness is not None:
             continue
@@ -613,7 +600,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
             # the largest pairwise ‖c_a − c_b‖∞ is the widest coordinate range
             coords = np.hstack([Y[js[cluster]], Z[ks[cluster]]])
             spread = float(np.max(np.ptp(coords, axis=0)))
-            if spread > point_tol:
+            if spread > POINT_SEP_TOL:
                 witness = {
                     "x": X[ix].tolist(),
                     "members": [{"y": points[a][0].tolist(),
@@ -633,16 +620,17 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     return samples, report
 
 
-def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
-                           tol: float = STABILITY_TOL, reduced=None) -> TwistReport:
+def check_strictly_hedonic(u, v, xs, ys, zs, reduced=None) -> TwistReport:
     """Sufficient conditions for the twist when s = u(x,z) + v(y,z).
 
-    u and v are hedonic components (value/grad_p/grad_z over (p,z)); a full
-    surplus model with separate u,v may be passed for both, in which case
-    separability is verified numerically first (NotSeparable on failure).
-    Checks injectivity of z ↦ D_x u(x,z) and of y ↦ D_z v(y,z), then flags
-    boundary argmaxes of s(x,y,·), which void the interior-maximum proviso;
-    they come from reduced, the reduction of s = u + v, when it is passed.
+    u and v are hedonic components (value/grad_p/grad_z over (p,z)), checked
+    as StrictlyHedonicSurplus(u, v); or u is a surplus model with separate
+    u, v and v is None.  Separability is verified numerically first
+    (NotSeparable on failure).  Checks injectivity of z ↦ D_x u(x,z) and of
+    y ↦ D_z v(y,z), with gradients equal within 1e-6 of the largest entry,
+    then flags boundary argmaxes of s(x,y,·), which void the
+    interior-maximum proviso; they come from reduced, the reduction of
+    s = u + v, when it is passed.
     """
     X = as_point_array(xs)
     Y = as_point_array(ys)
@@ -650,22 +638,20 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
 
     if hasattr(u, "grad_p"):
         s_model = StrictlyHedonicSurplus(u, v)
-    else:
+    elif v is None or v is u:
         s_model = u
-        if v is not None and v is not u:
-            raise ValidationError("pass one full model, or two components")
-        if not getattr(s_model, "has_uv", False):
-            raise MissingUV("strictly hedonic check needs separate u and v")
-        _verify_separable(s_model, X, Y, Z, tol)
+    else:
+        raise ValidationError("pass one full model, or two components")
+    if not getattr(s_model, "has_uv", False):
+        raise MissingUV("strictly hedonic check needs separate u and v")
+    _verify_separable(s_model, X, Y, Z)
 
     # u_grads[i, k] = D_x u(x_i, z_k) and v_grads[k, j] = D_z v(y_j, z_k); on
     # a separable model D_x s does not depend on y, so y_1 stands in for all
     u_grads = s_model._grad(X[:, None], Y[0], Z[None, :])[0]
     v_grads = s_model._grad_v_z(Y[None, :], Z[:, None])
-    if grad_tol is None:
-        scale = max((float(np.max(np.abs(g))) for g in (u_grads, v_grads) if g.size),
-                    default=0.0)
-        grad_tol = 1e-6 * (1.0 + scale)
+    grad_tol = 1e-6 * max((float(np.max(np.abs(g))) for g in (u_grads, v_grads)
+                           if g.size), default=0.0)
 
     def first_collision(rows):
         for slot, row in enumerate(rows):
@@ -711,21 +697,17 @@ def check_strictly_hedonic(u, v, xs, ys, zs, grad_tol: float | None = None,
                        details={"grad_tol": grad_tol})
 
 
-def _verify_separable(s, X, Y, Z, tol: float) -> None:
-    """Numerically confirm u is y-free and v is x-free on sample triples."""
-    xs = X[:: max(1, X.shape[0] // 3)]
-    ys = Y[:: max(1, Y.shape[0] // 3)]
-    zs = Z[:: max(1, Z.shape[0] // 3)]
-    for x in xs:
-        for z in zs:
-            u_vals = [s.value_u(x, y, z) for y in ys]
-            if max(u_vals) - min(u_vals) > tol:
-                raise NotSeparable("u(x,·,z) varies with y")
-    for y in ys:
-        for z in zs:
-            v_vals = [s.value_v(x, y, z) for x in xs]
-            if max(v_vals) - min(v_vals) > tol:
-                raise NotSeparable("v(·,y,z) varies with x")
+def _verify_separable(s, X, Y, Z) -> None:
+    """Numerically confirm u is y-free and v is x-free on sample triples: the
+    spread of u over y (of v over x) at each sampled point may be at most
+    STABILITY_TOL times the range of u (of v) over all samples."""
+    xs, ys, zs = (s._canon_grid(P[:: max(1, P.shape[0] // 3)], axis)
+                  for P, axis in ((X, "x"), (Y, "y"), (Z, "z")))
+    u, v = s._uv(xs[:, None, None], ys[None, :, None], zs[None, None, :])
+    if np.any(np.ptp(u, axis=1) > STABILITY_TOL * np.ptp(u)):
+        raise NotSeparable("u(x,·,z) varies with y")
+    if np.any(np.ptp(v, axis=0) > STABILITY_TOL * np.ptp(v)):
+        raise NotSeparable("v(·,y,z) varies with x")
 
 
 # --- support dimension ------------------------------------------------------
@@ -762,8 +744,7 @@ class SupportDimensionReport:
         }
 
 
-def support_dimension(coupling: Coupling, radius: float, s=None,
-                      eig_cutoff: float = PCA_CUTOFF) -> SupportDimensionReport:
+def support_dimension(coupling: Coupling, radius: float, s=None) -> SupportDimensionReport:
     """Estimate the dimension of the coupling's support in X×Y×Z.
 
     Needs ≥ 10 support points for the PCA (a single point trivially has
@@ -794,7 +775,7 @@ def support_dimension(coupling: Coupling, radius: float, s=None,
     if m == 1:
         return SupportDimensionReport(
             estimate=0, mean_count=0.0, local_counts=(0,),
-            radius=radius, cutoff=eig_cutoff,
+            radius=radius, cutoff=PCA_CUTOFF,
             signature_bound=bound, signature_triple=sig,
         )
     if m < 10:
@@ -812,14 +793,14 @@ def support_dimension(coupling: Coupling, radius: float, s=None,
             covs[a] = centered.T @ centered / nbr.shape[0]
     eigs = np.linalg.eigvalsh(covs)
     top = eigs[:, -1:]
-    counts = np.where(top[:, 0] <= 0.0, 0, np.sum(eigs >= eig_cutoff * top, axis=1))
+    counts = np.where(top[:, 0] <= 0.0, 0, np.sum(eigs >= PCA_CUTOFF * top, axis=1))
     mean_count = float(np.mean(counts))
     return SupportDimensionReport(
         estimate=int(round(mean_count)),
         mean_count=mean_count,
         local_counts=tuple(counts.tolist()),
         radius=radius,
-        cutoff=eig_cutoff,
+        cutoff=PCA_CUTOFF,
         signature_bound=bound,
         signature_triple=sig,
     )

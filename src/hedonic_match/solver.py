@@ -176,16 +176,14 @@ def _tree_masses(cells: list[tuple[int, int]], a: np.ndarray, b: np.ndarray) -> 
     return out
 
 
-def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       enter_tol: float = ENTER_TOL,
-                       degen_tol: float = DEGEN_TOL):
+def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Primal network simplex on the transportation polytope (maximization).
 
     Enters the cell of largest reduced cost (Dantzig's rule, first flat
     index on ties) and leaves by Cunningham's rule, which keeps the tree
     strongly feasible: every zero-mass arc hangs with its row as the child.
     After a pivot only the potentials of the re-hung subtree are recomputed.
-    Both tolerances are relative to the reward range max R - min R.
+    ENTER_TOL and DEGEN_TOL are relative to the reward range max R - min R.
 
     Returns (cells, masses, U, V, iterations, degenerate_flag) where cells
     is the optimal basis (m+n-1 entries, some possibly at zero level).
@@ -218,7 +216,7 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray,
         red -= V[None, :]
         np.put(red, cell[1:], -np.inf)
         t = int(np.argmax(red))
-        if red.flat[t] <= enter_tol * scale:
+        if red.flat[t] <= ENTER_TOL * scale:
             break
         iterations += 1
         if iterations > max_iter:
@@ -279,16 +277,14 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray,
     if masses.min() < -MASS_CLAMP:
         raise RuntimeError(f"negative basic mass {masses.min():.3e}")
     masses = np.maximum(masses, 0.0)
-    degenerate = bool(red.max() >= -degen_tol * scale)
+    degenerate = bool(red.max() >= -DEGEN_TOL * scale)
     return cells, masses, U, V, iterations, degenerate
 
 
-def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    enter_tol: float = ENTER_TOL,
-                    degen_tol: float = DEGEN_TOL) -> SolveResult:
+def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
     """Maximize sum of cost[i,j]·gamma_ij over couplings of (mu, nu).
 
-    enter_tol and degen_tol are fractions of the reward range max - min, so
+    ENTER_TOL and DEGEN_TOL are fractions of the reward range max - min, so
     they mean the same at every scale and shift of the rewards.
     """
     reward = np.asarray(cost, dtype=float)
@@ -302,7 +298,7 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise InfeasibleMarginals("mu and nu carry different total mass")
 
     cells, masses, U, V, iterations, degen = _transport_simplex(
-        reward, mu.weights, nu.weights, enter_tol, degen_tol)
+        reward, mu.weights, nu.weights)
 
     shift = float(U.min())
     U = U - shift

@@ -11,10 +11,11 @@ Families
 
 Each family implements three broadcasting kernels over points of shape
 (..., d) on each axis: _kernel gives s, _grad the gradients (D_x s, D_y s,
-D_z s) and _hess the mixed blocks (D²xy s, D²xz s, D²yz s).  SurplusModel
-derives the scalar, row-paired and product-grid evaluators and the scalar
-derivative methods from them, so every form rounds identically.  Matrix
-terms are stacked matmuls, which round like M @ p for a single point.
+D_z s) and _hess the mixed blocks (D²xy s, D²xz s, D²yz s); a family that
+splits s = u(x, z) + v(y, z) adds _uv for (u, v).  SurplusModel derives the
+scalar, row-paired and product-grid evaluators, the scalar derivative
+methods and value_u/value_v from them, so every form rounds identically.
+Matrix terms are stacked matmuls, which round like M @ p for a single point.
 
 The G matrix stacks the mixed Hessian blocks with zero diagonal blocks; its
 eigenvalue signature bounds the dimension of any stable support.  Eigenvalues
@@ -176,12 +177,12 @@ class SurplusModel:
     - _grad(X, Y, Z): (D_x s, D_y s, D_z s), each of shape (*L, d_axis);
     - _hess(X, Y, Z): (D²xy s, D²xz s, D²yz s), each of shape (*L, d_a, d_b).
 
-    Models with a separate seller utility v(y, z) also provide
-    _grad_v_z(Y, Z).  Every public evaluator and derivative calls these.
+    Models that split s = u(x, z) + v(y, z) also provide _uv(X, Y, Z),
+    giving (u, v), each broadcasting to shape L, and _grad_v_z(Y, Z).  Every
+    public evaluator and derivative calls these.
     """
 
     family = "custom"
-    has_uv = False
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -217,8 +218,16 @@ class SurplusModel:
     def _hess(self, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def _uv(self, X, Y, Z) -> tuple[np.ndarray, np.ndarray]:
+        raise MissingUV(f"{self.family} model has no separate u and v")
+
     def _grad_v_z(self, Y, Z) -> np.ndarray:
         raise MissingUV(f"{self.family} model has no separate seller utility")
+
+    @property
+    def has_uv(self) -> bool:
+        """Whether the model defines _uv, the split s = u + v."""
+        return type(self)._uv is not SurplusModel._uv
 
     def value(self, x, y, z) -> float:
         return float(self._kernel(*self._point(x, y, z)))
@@ -269,10 +278,10 @@ class SurplusModel:
             yield lo, self.value_grid(X[lo:lo + rows], Y, Z)
 
     def value_u(self, x, y, z) -> float:
-        raise MissingUV(f"{self.family} model has no separate buyer utility")
+        return float(self._uv(*self._point(x, y, z))[0])
 
     def value_v(self, x, y, z) -> float:
-        raise MissingUV(f"{self.family} model has no separate seller utility")
+        return float(self._uv(*self._point(x, y, z))[1])
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -349,7 +358,6 @@ class CounterexampleSurplus(SurplusModel):
     """
 
     family = "counterexample"
-    has_uv = True
 
     def __init__(self, a: float = 0.5):
         self.a = float(a)
@@ -379,14 +387,9 @@ class CounterexampleSurplus(SurplusModel):
         lead = _lead(X, Y, Z)
         return _mat(lead, [[1.0]]), _mat(lead, [[1.0]]), _mat(lead, [[-1.0]])
 
-    def value_u(self, x, y, z) -> float:
-        x = self._canon(x, "x")[0]; y = self._canon(y, "y")[0]
-        z = self._canon(z, "z")[0]
-        return x * y + x * z
-
-    def value_v(self, x, y, z) -> float:
-        y = self._canon(y, "y")[0]; z = self._canon(z, "z")[0]
-        return -y * z - self.a * z * z
+    def _uv(self, X, Y, Z):
+        x, y, z = X[..., 0], Y[..., 0], Z[..., 0]
+        return x * y + x * z, -y * z - self.a * z * z
 
     def tzss_blocks(self):
         """(A, B, C, D) for the bilinear twist criterion: value 1 - 2a."""
@@ -644,7 +647,6 @@ class StrictlyHedonicSurplus(SurplusModel):
     """s(x,y,z) = u(x,z) + v(y,z): all interaction runs through the good z."""
 
     family = "strictly_hedonic"
-    has_uv = True
 
     def __init__(self, u, v):
         self.u = u
@@ -660,13 +662,10 @@ class StrictlyHedonicSurplus(SurplusModel):
         return self._dims
 
     def _kernel(self, X, Y, Z):
-        return self.u._kernel(X, Z) + self.v._kernel(Y, Z)
+        return np.add(*self._uv(X, Y, Z))
 
-    def value_u(self, x, y, z) -> float:
-        return self.u.value(self._canon(x, "x"), self._canon(z, "z"))
-
-    def value_v(self, x, y, z) -> float:
-        return self.v.value(self._canon(y, "y"), self._canon(z, "z"))
+    def _uv(self, X, Y, Z):
+        return self.u._kernel(X, Z), self.v._kernel(Y, Z)
 
     def _grad(self, X, Y, Z):
         X, Y, Z = _broadcast(X, Y, Z)
@@ -806,14 +805,13 @@ def assemble_G(blocks) -> np.ndarray:
     return G
 
 
-def classify_eigenvalues(eigs: np.ndarray,
-                         rel: float = ZERO_EIG_REL) -> tuple[int, int, int, float]:
+def classify_eigenvalues(eigs: np.ndarray) -> tuple[int, int, int, float]:
     """Count (positive, negative, zero) eigenvalues with the relative
-    threshold rel · max|λ|; returns the threshold too.
+    threshold ZERO_EIG_REL · max|λ|; returns the threshold too.
     """
     eigs = np.asarray(eigs, dtype=float)
     largest = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    thr = rel * largest
+    thr = ZERO_EIG_REL * largest
     n_zero = int(np.sum(np.abs(eigs) <= thr))
     n_pos = int(np.sum(eigs > thr))
     n_neg = int(eigs.size - n_zero - n_pos)
@@ -897,7 +895,7 @@ class SignatureReport:
         }
 
 
-def signature(s: SurplusModel, x, y, z, cross_check: bool = True) -> SignatureReport:
+def signature(s: SurplusModel, x, y, z) -> SignatureReport:
     """Signature of G at (x,y,z) plus the bound n_x+n_y+n_z − λ₋.
 
     When the three axis dimensions agree and all blocks are invertible, also
@@ -913,9 +911,7 @@ def signature(s: SurplusModel, x, y, z, cross_check: bool = True) -> SignatureRe
     bound = nx + ny + nz - n_neg
     check = None
     skipped = None
-    if not cross_check:
-        skipped = "disabled"
-    elif not (nx == ny == nz):
+    if not (nx == ny == nz):
         skipped = "axis dimensions differ"
     else:
         A, B, C = blocks

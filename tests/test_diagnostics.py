@@ -17,6 +17,7 @@ from hedonic_match.diagnostics import (
     STABILITY_TOL,
     DegenerateCross,
     InfeasibleV,
+    NotSeparable,
     SizeMismatch,
     TooFewPoints,
     TwistReport,
@@ -37,6 +38,7 @@ from hedonic_match.instances import (
     random_instance,
 )
 from hedonic_match.reduction import reduce
+from hedonic_match.serialize import dumps_json
 from hedonic_match.solver import solve_hybrid
 from hedonic_match.surplus import (
     SurplusModel,
@@ -246,6 +248,62 @@ def test_prices_need_uv(plane):
     with pytest.raises(MissingUV):
         compute_prices(Supermodular1DSurplus(), plane.coupling,
                        plane.potentials)
+
+
+def _prices_by_triple(s, coupling, potentials) -> dict:
+    """The price table from the scalar value_u and value_v, one support
+    triple at a time."""
+    i, j, k = coupling.indices.T
+    scale = grid_scale(s.value_batch(coupling.mu.points[i], coupling.nu.points[j],
+                                     coupling.z_points[k]))
+    rows, worst = [], 0.0
+    for (i, j, k), w in zip(coupling.indices.tolist(), coupling.masses.tolist()):
+        x, y, z = coupling.mu.points[i], coupling.nu.points[j], coupling.z_points[k]
+        p_buyer = s.value_u(x, y, z) - float(potentials.U[i])
+        p_seller = float(potentials.V[j]) - s.value_v(x, y, z)
+        diff = abs(p_buyer - p_seller)
+        worst = max(worst, diff)
+        rows.append({"i": i, "j": j, "k": k, "mass": w, "p_buyer": p_buyer,
+                     "p_seller": p_seller, "diff": diff})
+    return {"rows": rows, "max_discrepancy": worst, "tol": STABILITY_TOL * scale}
+
+
+def _counterexample_solve():
+    # a > 1/2 on a lattice, goods at step 1/(2a) of it: interior goods
+    s = CounterexampleSurplus(0.8)
+    rng = np.random.default_rng(4)
+    mu, nu = (DiscreteMeasure.uniform(np.sort(rng.choice(40, 12, replace=False))[:, None]
+                                      / 40.0) for _ in range(2))
+    zs = np.arange(17)[:, None] / (40.0 * 1.6)
+    res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
+    return s, res.coupling, res.potentials
+
+
+def _tabulated_hedonic_solve():
+    p_nodes = np.linspace(0.0, 1.0, 6)
+    z_nodes = np.linspace(0.0, 1.0, 7)
+    u = TabulatedComponent(np.outer(p_nodes, z_nodes) - 0.6 * z_nodes ** 2,
+                           p_nodes, z_nodes)
+    s = StrictlyHedonicSurplus(u, BilinearComponent([[0.7]], h=[0.0, 0.1]))
+    mu = DiscreteMeasure.uniform(p_nodes[:, None])
+    nu = DiscreteMeasure.uniform(np.linspace(0.1, 0.9, 6)[:, None])
+    res = solve_hybrid(s, mu, nu, z_nodes[:, None])
+    return s, res.coupling, res.potentials
+
+
+@pytest.mark.parametrize("case", ["plane", "counterexample", "tabulated"])
+def test_prices_match_the_scalar_split_triple_by_triple(plane, case):
+    if case == "plane":
+        s, coupling, potentials = plane.surplus, plane.coupling, plane.potentials
+    elif case == "counterexample":
+        s, coupling, potentials = _counterexample_solve()
+    else:
+        s, coupling, potentials = _tabulated_hedonic_solve()
+    table = compute_prices(s, coupling, potentials).to_dict()
+    reference = _prices_by_triple(s, coupling, potentials)
+    assert len(reference["rows"]) == coupling.masses.size > 1
+    assert table == reference
+    assert dumps_json(table) == dumps_json(reference)
 
 
 # --- twist reports ----------------------------------------------------------
@@ -558,6 +616,75 @@ def test_strictly_hedonic_component_pair_and_full_model_agree():
     assert [r.verdict for r in reports] == ["holds", "fails", "inconclusive", "fails"]
     assert reports[3].witness["z_a"] == [-0.5]
     assert reports[3].witness["z_b"] == [0.0]
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_strictly_hedonic_is_scale_free(c):
+    # with the old gradient floor 1e-6·(1 + max|g|) this read "fails" (a
+    # u-side collision) at c = 1e-12 and 1e-6, "inconclusive" from c = 1
+    def pair(c):
+        return BilinearComponent([[c]], Dz=[[-c]]), BilinearComponent([[c]])
+
+    xs = GridSpec(0.0, 1.0, 7).points()
+    ys = GridSpec(0.0, 1.0, 6).points()
+    zs = GridSpec(0.0, 1.0, 9).points()
+    ref = check_strictly_hedonic(*pair(1.0), xs, ys, zs)
+    rep = check_strictly_hedonic(*pair(c), xs, ys, zs)
+    assert ref.verdict == "inconclusive"
+    assert (rep.verdict, rep.witness) == (ref.verdict, ref.witness)
+    assert rep.details["grad_tol"] == pytest.approx(c * ref.details["grad_tol"],
+                                                    rel=1e-12)
+    model = StrictlyHedonicSurplus(*pair(c))
+    assert check_strictly_hedonic(model, None, xs, ys, zs).to_dict() == rep.to_dict()
+
+
+class _ScaledCross(SurplusModel):
+    """c·(xy + xz − yz − z²/2) split as u = c(xy + xz), v = −c(yz + z²/2):
+    u depends on y, so the split is not separable."""
+
+    def __init__(self, c):
+        self.c = c
+
+    @property
+    def dims(self):
+        return (1, 1, 1)
+
+    def _uv(self, X, Y, Z):
+        x, y, z = X[..., 0], Y[..., 0], Z[..., 0]
+        return self.c * (x * y + x * z), -self.c * (y * z + 0.5 * z * z)
+
+    def _kernel(self, X, Y, Z):
+        return np.add(*self._uv(X, Y, Z))
+
+    def _grad_v_z(self, Y, Z):
+        return -self.c * (Y + Z)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_strictly_hedonic_rejects_a_cross_term_at_every_scale(c):
+    # against an absolute 1e-8 the y-spread of u passed as separable at small c
+    xs = GridSpec(0.0, 1.0, 7).points()
+    ys = GridSpec(0.0, 1.0, 6).points()
+    zs = GridSpec(0.0, 1.0, 9).points()
+    with pytest.raises(NotSeparable, match="u"):
+        check_strictly_hedonic(_ScaledCross(c), None, xs, ys, zs)
+    with pytest.raises(NotSeparable, match="u"):
+        check_strictly_hedonic(CounterexampleSurplus(0.5), None, xs, ys, zs)
+
+
+def test_separability_failures_keep_their_order():
+    # u is checked before v; a model whose u is y-free fails on v
+    class _VCross(_ScaledCross):
+        def _uv(self, X, Y, Z):
+            u, v = super()._uv(X, Y, Z)
+            return self.c * X[..., 0] * Z[..., 0], v + self.c * X[..., 0] * Y[..., 0]
+
+    xs = GridSpec(0.0, 1.0, 4).points()
+    zs = GridSpec(0.0, 1.0, 5).points()
+    with pytest.raises(NotSeparable, match=r"v\(·,y,z\) varies with x"):
+        check_strictly_hedonic(_VCross(2.0), None, xs, xs, zs)
+    with pytest.raises(NotSeparable, match=r"u\(x,·,z\) varies with y"):
+        check_strictly_hedonic(_ScaledCross(2.0), None, xs, xs, zs)
 
 
 def test_strictly_hedonic_full_model_and_misuse():

@@ -198,8 +198,12 @@ def test_every_family_derives_its_derivatives_from_kernels():
         for name in ("_kernel", "_grad", "_hess"):
             assert name in vars(cls), f"{cls.__name__} lacks {name}"
         for name in ("value", "grad_x", "grad_y", "grad_z", "hessian_blocks",
-                     "grad_v_z"):
+                     "grad_v_z", "value_u", "value_v", "has_uv"):
             assert name not in vars(cls), f"{cls.__name__} overrides {name}"
+    instances = _families()
+    assert {type(s) for s in instances} == set(models)
+    for s in instances:
+        assert s.has_uv == ("_uv" in vars(type(s))), type(s).__name__
     for cls in (surplus.BilinearComponent, surplus.TabulatedComponent):
         for name in ("_kernel", "_grad", "_hess"):
             assert name in vars(cls), f"{cls.__name__} lacks {name}"
@@ -273,6 +277,50 @@ def test_uv_split_sums_to_value():
         x, y, z = np.full(dx, 0.6), np.full(dy, 0.4), np.full(dz, 0.3)
         total = s.value_u(x, y, z) + s.value_v(x, y, z)
         assert total == pytest.approx(s.value(x, y, z), abs=1e-14)
+
+
+def _split_by_hand(s, x, y, z) -> tuple[float, float]:
+    """(u, v) at one point from the components' own scalar value, or from
+    the counterexample's formulas in Python floats."""
+    if isinstance(s, StrictlyHedonicSurplus):
+        return s.u.value(x, z), s.v.value(y, z)
+    x, y, z = float(x[0]), float(y[0]), float(z[0])
+    return x * y + x * z, -y * z - s.a * z * z
+
+
+def _uv_families():
+    p_nodes = np.array([0.1, 0.4, 0.55, 1.0])
+    z_nodes = np.array([0.0, 0.2, 0.4, 0.6, 0.8])
+    table = np.random.default_rng(5).normal(size=(4, 5))
+    tabulated = StrictlyHedonicSurplus(TabulatedComponent(table, p_nodes, z_nodes),
+                                       BilinearComponent([[0.8]], h=[0.0, 0.2]))
+    return [s for s in _families() if s.has_uv] + [tabulated]
+
+
+def test_uv_kernel_rounds_like_the_scalar_split():
+    rng = np.random.default_rng(8)
+    families = _uv_families()
+    assert len(families) == 5
+    for s in families:
+        if isinstance(getattr(s, "u", None), TabulatedComponent):
+            X = rng.choice(s.u.p_nodes, (4, 1))
+            Z = rng.choice(s.u.z_nodes, (5, 1))
+        else:
+            X, Z = _draw(rng, s, 4, "x"), _draw(rng, s, 5, "z")
+        Y = _draw(rng, s, 3, "y")
+        lead = (4, 3, 5)
+        u, v = (np.broadcast_to(a, lead)
+                for a in s._uv(X[:, None, None], Y[None, :, None], Z[None, None, :]))
+        for i in range(4):
+            for j in range(3):
+                for k in range(5):
+                    want = _split_by_hand(s, X[i], Y[j], Z[k])
+                    assert (u[i, j, k], v[i, j, k]) == want
+                    assert (s.value_u(X[i], Y[j], Z[k]),
+                            s.value_v(X[i], Y[j], Z[k])) == want
+        u, v = s._uv(X[:3], Y, Z[:3])
+        for t in range(3):
+            assert (u[t], v[t]) == _split_by_hand(s, X[t], Y[t], Z[t])
 
 
 def test_missing_uv_raises():
