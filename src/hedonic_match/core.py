@@ -330,8 +330,11 @@ class Coupling:
         entries = []
         for e in raw:
             try:
-                entries.append(tuple(int(e[k]) for k in keys) + (float(e["mass"]),))
-            except (KeyError, TypeError, ValueError) as exc:
+                idx = tuple(int(e[k]) for k in keys)
+                if any(isinstance(e[k], bool) or e[k] != t for k, t in zip(keys, idx)):
+                    raise ValueError("indices must be integers")
+                entries.append(idx + (float(e["mass"]),))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed coupling entry {e!r}: {exc}") from None
         return cls.from_entries(entries, mu, nu, z_points=z_points, alpha=alpha,
                                 marginal_tol=marginal_tol)

@@ -108,10 +108,10 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     scale (its range max − min); the report gives it in absolute units.
 
     Without W the grid enters only through sbar = max_z s: pass the solve's
-    reduction as reduced, or it is computed here.  Subtraction is monotone,
-    so fl(fl(sbar − U) − V) is the largest residual of the pair's z-column
-    and the report is the full grid's bit for bit.  With W the grid is
-    folded one block of x rows at a time and reduced is not used.
+    reduction as reduced, or it is computed here.  ReducedSurplus.residual
+    gives the largest residual of each pair's z-column, so the report is the
+    full grid's bit for bit.  With W the grid is folded one block of x rows
+    at a time and reduced is not used.
     """
     U, V = potentials.U, potentials.V
     if U.size != coupling.mu.size or V.size != coupling.nu.size:
@@ -150,8 +150,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
         else:
             red = _reduction_for(s, X, Y, Z, reduced)
             scale = red.grid_scale
-            residual = red.values - U[:, None]
-            residual -= V[None, :]
+            residual = red.residual(U, V)
             # the first pair attaining the max (or the first NaN) holds the
             # grid's first worst triple: no earlier pair's column reaches it
             wi, wj = np.unravel_index(int(np.argmax(residual)), residual.shape)
@@ -534,10 +533,10 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     ≤ tol and raises InfeasibleV when it is not.
 
     The slice maxima come from the reduction sbar = max_z s (pass the
-    solve's as reduced, or it is computed here): subtraction is monotone, so
-    max_k fl(s_k − V_j) = fl(sbar − V_j).  As s ≤ sbar, only the z-columns of
-    pairs within tol of their slice maximum can hold members, and only those
-    are evaluated.
+    solve's as reduced, or it is computed here): ReducedSurplus.residual
+    with U = 0 gives max_k fl(s_k − V_j) bit for bit.  As s ≤ sbar, only the
+    z-columns of pairs within tol of their slice maximum can hold members,
+    and only those are evaluated.
 
     The sampled twist fails when one gradient cluster contains two members
     whose (y,z) points differ by more than POINT_SEP_TOL; the report carries
@@ -552,7 +551,7 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
     red = _reduction_for(s, X, Y, Z, reduced)
     tol = tol * red.grid_scale
-    delta = red.values - V[None, :]
+    delta = red.residual(np.zeros(X.shape[0]), V)
     shifts = np.max(delta, axis=1)
     if require_feasible and np.any(shifts > tol):
         ix = int(np.argmax(shifts > tol))

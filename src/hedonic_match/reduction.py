@@ -64,6 +64,13 @@ class ReducedSurplus:
     def selected_z(self, i: int, j: int) -> np.ndarray:
         return self.z_points[self.argmax[i, j]]
 
+    def residual(self, U, V) -> np.ndarray:
+        """fl(fl(sbar − U) − V): subtraction is monotone, so each entry is,
+        bit for bit, the largest residual s − U − V of the pair's z-column."""
+        out = self.values - U[:, None]
+        out -= V[None, :]
+        return out
+
     def to_dict(self) -> dict:
         return {
             "values": self.values.tolist(),

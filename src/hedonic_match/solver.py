@@ -14,7 +14,8 @@ compare genuinely different code paths:
 
 Both are maximizers, fully deterministic, and return vertex solutions so
 support-based diagnostics stay meaningful.  max_over_alpha certifies its
-fixed-alpha LP with neither: it checks the reduce_lift duals there.
+fixed-alpha LP with neither: it checks the reduce_lift duals against the
+solve's own reduction, without evaluating the surplus grid again.
 """
 
 from __future__ import annotations
@@ -457,7 +458,8 @@ def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
                  alpha: DiscreteMeasure | None, start) -> SolveResult:
     """The free-z LP (alpha None) or the fixed-alpha LP from the basis
     start(grid).  Raises TooLarge before allocating when the grid, the
-    pricing buffer, B and B⁻¹ would exceed LP_BYTES_LIMIT.
+    pricing buffer, B and B⁻¹ would exceed LP_BYTES_LIMIT, and
+    ValidationError on a non-finite grid, which no pivot could price.
     """
     nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
     fixed = alpha is not None
@@ -474,6 +476,8 @@ def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
 
     grid = s.value_grid(mu.points, nu.points, z_pts)
     scale = grid_scale(grid)
+    if not np.isfinite(scale):
+        raise ValidationError("surplus grid must be finite, with a finite range")
     rhs = np.concatenate([mu.weights] + [w[:-1] for w in weights[1:]])
     x, y, iterations, degen = _cell_simplex(grid, rhs, start(grid), fixed, scale)
     U = y[:nx].copy()
@@ -573,24 +577,30 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     """Maximize over couplings and over the good-type marginal jointly.
 
     Equivalent to the free-z hybrid problem, solved by reduce_lift; the
-    induced alpha is read off the optimal coupling.  Its certificate for the
-    LP with alpha prescribed needs no pivots: the reduce_lift duals (U, V)
-    and W = 0 must cover s on the whole grid and match the coupling's value,
-    which must match the free-z objective, each within DRIFT_TOL of the
-    grid's range plus the rounding of sums of that magnitude, or
-    RuntimeError.
+    induced alpha is read off the optimal coupling.  project keeps every
+    good of zs, zero-weight ones included, so the LP with alpha prescribed
+    lives on the grid the solve's reduction folded, and its certificate reads
+    that reduction, with no pivots and no second grid pass: the reduce_lift
+    duals (U, V) and W = 0 must cover s on the whole grid and match the
+    coupling's value, which must match the free-z objective, each within
+    DRIFT_TOL of the grid's range plus the rounding of sums of that
+    magnitude, or RuntimeError.  That LP is a restriction of the free-z LP
+    that keeps the free-z optimum, so its optimum is degenerate only where
+    the free-z one is or where the lift chose among tied goods.
     """
     res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
+    red = res.reduction
     alpha = project(res.coupling, "z")
-    grid = s.value_grid(mu.points, nu.points, alpha.points)
-    scale = grid_scale(grid)
-    i, j, k = res.coupling.indices.T
-    primal = float(res.coupling.masses @ grid[i, j, k])
+    scale = red.grid_scale
+    i, j, _ = res.coupling.indices.T
+    # the lift put each matched pair at its argmax good, worth sbar
+    primal = float(res.coupling.masses @ red.values[i, j])
     U, V = res.potentials.U, res.potentials.V
     dual = float(mu.weights @ U + nu.weights @ V)
     # The primal, the free-z objective and the dual agree in exact
     # arithmetic.  Each sums at most n_x + n_y products w·v, with weights
-    # summing to one and |v| ≤ M, the largest magnitude of s, U and V.  An
+    # summing to one and |v| ≤ M, the largest magnitude of U, V and s (at one
+    # of the reduction's two ends).  An
     # inner product of n terms rounds by at most n·(eps/2)·Σ|w·v| to first
     # order (Higham, "Accuracy and Stability of Numerical Algorithms",
     # §3.1), and the dual adds its two inner products once more, so each
@@ -598,19 +608,16 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     # differ by up to (n_x + n_y + 1)·eps·M.  A residual s − U − V rounds in
     # two subtractions, by at most 2·eps·M.  Under a shift t, M grows with
     # |t| while the range does not, so this term joins DRIFT_TOL·range.
-    magnitude = max(grid.max(), -grid.min(), np.abs(U).max(), np.abs(V).max())
+    magnitude = max(red.values.max(), -red.lowest, np.abs(U).max(), np.abs(V).max())
     bound = DRIFT_TOL * scale + (mu.size + nu.size + 1) * np.finfo(float).eps * magnitude
-    grid -= U[:, None, None]
-    grid -= V[None, :, None]
-    residual = float(grid.max())
-    grid[i, j, k] = -np.inf
+    residual = float(red.residual(U, V).max())
     fixed = SolveResult(
         coupling=replace(res.coupling, alpha=alpha),
         objective=primal,
         potentials=res.potentials,
         duality_gap=abs(primal - dual),
         iterations=0,
-        degenerate_optimum=bool(grid.max() >= -DEGEN_TOL * scale),
+        degenerate_optimum=res.degenerate_optimum or bool(red.tie[i, j].any()),
         method="tripartite_fixed_alpha",
         z_potential=np.zeros(alpha.size),
     )

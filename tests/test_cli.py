@@ -282,6 +282,22 @@ def test_missing_z_axis_is_bad_input(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("route", [["solve", "--method", "direct_lp"],
+                                   ["solve", "--alpha"],
+                                   ["diagnose"]])
+def test_non_finite_surplus_is_bad_input_on_three_index_routes(tmp_path, route, capsys):
+    (tmp_path / "surplus.json").write_text(
+        '{"family": "bilinear", "A": [[NaN]], "B": [[0.0]], "C": [[0.0]]}\n')
+    mu = DiscreteMeasure([[0.0], [0.5], [1.0]], [0.25, 0.25, 0.5])
+    measure_to_csv(mu, tmp_path / "mu.csv")
+    where = [str(tmp_path / "mu.csv")] if route[-1] == "--alpha" else ["--z-grid", "0:1:3"]
+    code = main([*route, *where, "--surplus", str(tmp_path / "surplus.json"),
+                 "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "mu.csv"),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("HEDONIC_MATCH_OUT", str(target))

@@ -150,6 +150,19 @@ def test_coupling_dict_round_trip():
     np.testing.assert_array_equal(back.masses, c.masses)
 
 
+@pytest.mark.parametrize("bad", [1.7, True, "1", float("nan"), float("inf")])
+def test_coupling_from_dict_rejects_non_integral_indices(bad):
+    c = _tiny_coupling()
+    d = c.to_dict()
+    d["entries"][1]["i"] = bad
+    with pytest.raises(ValidationError, match="malformed coupling entry") as info:
+        Coupling.from_dict(d, c.mu, c.nu, z_points=c.z_points)
+    assert repr(bad) in str(info.value)
+    d["entries"][1]["i"] = 1.0  # an integral float is an index
+    back = Coupling.from_dict(d, c.mu, c.nu, z_points=c.z_points)
+    np.testing.assert_array_equal(back.indices, c.indices)
+
+
 def test_coupling_objective_matches_manual_sum():
     c = _tiny_coupling()
     s = CounterexampleSurplus(0.5)

@@ -193,6 +193,32 @@ def test_max_over_alpha_certifies_under_large_shifts(seed, t):
     assert fixed.duality_gap <= 1e-15 * t
 
 
+def test_max_over_alpha_makes_one_grid_pass(monkeypatch):
+    inst = random_instance(0, n=12, nz=5, family="bilinear")
+    cells = []
+    value_grid = SurplusModel.value_grid
+
+    def counted(self, xs, ys, zs):
+        grid = value_grid(self, xs, ys, zs)
+        cells.append(grid.size)
+        return grid
+
+    monkeypatch.setattr(SurplusModel, "value_grid", counted)
+    max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    assert sum(cells) == inst.mu.size * inst.nu.size * inst.z_points.shape[0]
+
+
+@pytest.mark.parametrize("family, degenerate", [("bilinear", False),
+                                                ("bilinear-zfree", True)])
+def test_max_over_alpha_degenerate_flag(family, degenerate):
+    # the zero-mass cells of the transport tree have residual 0 and must not
+    # count; in bilinear-zfree every good ties, so the lift picks among them
+    inst = random_instance(0, n=16, nz=9, family=family)
+    search = max_over_alpha(inst.surplus, inst.mu, inst.nu, inst.z_points)
+    assert not search.result.degenerate_optimum
+    assert search.fixed_alpha_result.degenerate_optimum is degenerate
+
+
 @pytest.mark.parametrize("c, t", SCALES)
 def test_stability_verdicts_are_scale_free(c, t):
     inst = random_instance(0, n=12, nz=5, family="bilinear")
