@@ -5,15 +5,14 @@ to --out (or $HEDONIC_MATCH_OUT, default the working directory) and are
 byte-deterministic for identical inputs.
 
 Exit codes: 0 success, 1 reproduction-check failure, 2 bad input, 3
-infeasible marginals, 4 a simplex exceeded its pivot budget.
-
-On glibc, main() fixes malloc's mmap threshold for the rest of the process.
+infeasible marginals, 4 a simplex exceeded its pivot budget.  main() only
+parses arguments, dispatches and maps exceptions to exit codes; it changes no
+process-wide setting.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from pathlib import Path
@@ -58,25 +57,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_PIVOT_BUDGET = 4
-
-# Blocks of at least this many bytes get a mapping of their own.
-MMAP_THRESHOLD = 1 << 20
-_M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number
-
-
-def _fix_mmap_threshold() -> None:
-    """glibc raises its mmap threshold to the size of each mapped block that
-    is freed, so after the first dense grid is freed every later one comes
-    from the heap, where freed grids stay resident or not depending on how
-    the heap happens to be fragmented (one diagnose of 300 x 300 x 33 grids
-    peaked at 117 MB or 135 MB from run to run).  A fixed threshold gives
-    each large array a mapping that is returned to the system when the array
-    is freed."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return  # no C library with mallopt: nothing to fix
-    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 def _out_dir(args) -> Path:
@@ -128,12 +108,11 @@ def _gather_problem(args):
     return s, mu, nu, zs, alpha
 
 
-def _add_problem_args(p: argparse.ArgumentParser, with_alpha: bool = True):
+def _add_problem_args(p: argparse.ArgumentParser):
     p.add_argument("--surplus", help="surplus model JSON")
     p.add_argument("--mu", help="buyer measure CSV")
     p.add_argument("--nu", help="seller measure CSV")
-    if with_alpha:
-        p.add_argument("--alpha", help="good measure CSV (fixes the z marginal)")
+    p.add_argument("--alpha", help="good measure CSV (fixes the z marginal)")
     p.add_argument("--z-grid", help="good grid lo:hi:count")
     p.add_argument("--z-points",
                    help="good points CSV (measure format; weights ignored)")
@@ -268,6 +247,8 @@ def _cmd_reduce(args) -> int:
     ys = _axis_points(args.y_grid, args.y_points, "y")
     zs = _axis_points(args.z_grid, args.z_points, "z")
     red = reduce_surplus(s, xs, ys, zs)
+    if not np.isfinite(red.grid_scale):
+        raise ValidationError("surplus grid must be finite, with a finite range")
     out = _out_dir(args)
     reduced_to_csv(red, out / "reduced.csv")
     nx, ny = red.shape
@@ -342,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -320,24 +320,34 @@ class Coupling:
                   z_points=None, alpha=None,
                   marginal_tol: float = HAND_BUILT_MARGINAL_TOL) -> "Coupling":
         try:
-            arity = int(data["arity"])
-            raw = data["entries"]
+            arity, raw = data["arity"], data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed coupling payload: {exc}") from None
+        try:
+            arity = _exact_int(arity)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"arity must be an integer, got {arity!r}") from None
         if arity not in (2, 3):
             raise DimensionMismatch(f"arity must be 2 or 3, got {arity}")
         keys = ("i", "j", "k")[:arity]
         entries = []
         for e in raw:
             try:
-                idx = tuple(int(e[k]) for k in keys)
-                if any(isinstance(e[k], bool) or e[k] != t for k, t in zip(keys, idx)):
-                    raise ValueError("indices must be integers")
+                idx = tuple(_exact_int(e[k]) for k in keys)
                 entries.append(idx + (float(e["mass"]),))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed coupling entry {e!r}: {exc}") from None
         return cls.from_entries(entries, mu, nu, z_points=z_points, alpha=alpha,
                                 marginal_tol=marginal_tol)
+
+
+def _exact_int(value) -> int:
+    """value as an int; ValueError for a bool or a non-integral number, and
+    TypeError, ValueError or OverflowError for a non-number."""
+    n = int(value)
+    if isinstance(value, bool) or value != n:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
 
 
 def _normalize_axes(axes) -> tuple[int, ...]:

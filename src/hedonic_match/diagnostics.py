@@ -169,7 +169,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
             "z": Z[wk].tolist(),
             "residual": float(max_grid),
         }
-    elif coupling.arity == 2:
+    else:  # arity 2
         grid = np.asarray(surplus_or_cost, dtype=float)
         if grid.shape != (coupling.mu.size, coupling.nu.size):
             raise SizeMismatch(
@@ -188,8 +188,6 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
             "y": coupling.nu.points[wj].tolist(),
             "residual": float(residual[wi, wj]),
         }
-    else:
-        raise SizeMismatch(f"unsupported arity {coupling.arity}")
 
     max_grid = float(max_grid)
     max_support = float(np.max(np.abs(support_res))) if support_res.size else 0.0

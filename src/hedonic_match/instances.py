@@ -109,15 +109,14 @@ def counterexample_instance(a: float = 0.5) -> CounterexampleInstance:
     )
 
 
-def _distinct_points(rng: np.random.Generator, n: int, dim: int,
-                     min_sep: float = 1e-6) -> np.ndarray:
+def _distinct_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     for _ in range(64):
         pts = rng.uniform(0.0, 1.0, size=(n, dim))
         if n == 1:
             return pts
         d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
         np.fill_diagonal(d, np.inf)
-        if float(d.min()) > min_sep:
+        if float(d.min()) > 1e-6:
             return pts
     raise RuntimeError("could not draw well-separated points")
 

@@ -209,7 +209,7 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     iterations = 0
     max_iter = 2000 + 50 * m * n
-    red = np.empty_like(reward)  # reused: a fresh array per pivot page-faults
+    red = np.empty_like(reward)  # reused: one allocation per solve, not per pivot
     while True:
         pi = np.array(pot)
         U, V = pi[:m], pi[m:]
@@ -293,8 +293,7 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResu
         raise DimensionMismatch(
             f"cost shape {reward.shape}, expected ({mu.size}, {nu.size})"
         )
-    if not np.all(np.isfinite(reward)):
-        raise ValidationError("cost matrix must be finite")
+    _require_finite(reward, "cost matrix")
     if abs(float(np.sum(mu.weights)) - float(np.sum(nu.weights))) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("mu and nu carry different total mass")
 
@@ -455,9 +454,10 @@ def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray,
 
 
 def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
-                 alpha: DiscreteMeasure | None, start) -> SolveResult:
-    """The free-z LP (alpha None) or the fixed-alpha LP from the basis
-    start(grid).  Raises TooLarge before allocating when the grid, the
+                 alpha: DiscreteMeasure | None) -> SolveResult:
+    """The free-z LP (alpha None), started from the northwest-corner cells at
+    each pair's best good, or the fixed-alpha LP, started from the greedy
+    tripartite path.  Raises TooLarge before allocating when the grid, the
     pricing buffer, B and B⁻¹ would exceed LP_BYTES_LIMIT, and
     ValidationError on a non-finite grid, which no pivot could price.
     """
@@ -479,7 +479,11 @@ def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
     if not np.isfinite(scale):
         raise ValidationError("surplus grid must be finite, with a finite range")
     rhs = np.concatenate([mu.weights] + [w[:-1] for w in weights[1:]])
-    x, y, iterations, degen = _cell_simplex(grid, rhs, start(grid), fixed, scale)
+    if fixed:
+        start = _greedy_tripartite_basis(mu.weights, nu.weights, alpha.weights, ny, nz)
+    else:
+        start = _bipartite_warm_columns(mu.weights, nu.weights, grid)
+    x, y, iterations, degen = _cell_simplex(grid, rhs, start, fixed, scale)
     U = y[:nx].copy()
     V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
     W = np.concatenate([y[nx + ny - 1:], [0.0]]) if fixed else None
@@ -546,9 +550,7 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
         )
     if method != "direct_lp":
         raise ValidationError(f"unknown method {method!r}")
-    return _three_index(
-        s, mu, nu, z_pts, None,
-        lambda grid: _bipartite_warm_columns(mu.weights, nu.weights, grid))
+    return _three_index(s, mu, nu, z_pts, None)
 
 
 def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -556,10 +558,7 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Maximize total surplus over couplings with all three marginals fixed;
     alpha's support supplies the z points.
     """
-    return _three_index(
-        s, mu, nu, alpha.points, alpha,
-        lambda grid: _greedy_tripartite_basis(mu.weights, nu.weights,
-                                              alpha.weights, nu.size, alpha.size))
+    return _three_index(s, mu, nu, alpha.points, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,6 +647,11 @@ def _require_uniform(measure: DiscreteMeasure, label: str) -> None:
         raise ValidationError(f"brute force needs equal weights; {label} is not uniform")
 
 
+def _require_finite(table: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(table)):
+        raise ValidationError(f"{label} must be finite")
+
+
 def brute_force(surplus_or_cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
                 alpha: DiscreteMeasure | None = None,
                 z_points=None) -> BruteForceResult:
@@ -656,7 +660,7 @@ def brute_force(surplus_or_cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
     Bipartite (alpha None): best permutation sigma with, when a surplus model
     and z points are supplied, the best z per matched pair.  Tripartite
     (alpha given): best pair of permutations (sigma, tau).  Equal weights
-    only; sizes capped (7 bipartite, 5 tripartite).
+    and finite tables only; sizes capped (7 bipartite, 5 tripartite).
     """
     n = mu.size
     if nu.size != n:
@@ -671,6 +675,7 @@ def brute_force(surplus_or_cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
             raise ValidationError("tripartite brute force needs alpha of size n")
         _require_uniform(alpha, "alpha")
         grid = surplus_or_cost.value_grid(mu.points, nu.points, alpha.points)
+        _require_finite(grid, "surplus grid")
         w = 1.0 / n
         best = -np.inf
         best_assign = None
@@ -691,12 +696,14 @@ def brute_force(surplus_or_cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
             raise ValidationError("surplus-model brute force needs z_points")
         z_pts = as_point_array(z_points)
         grid = surplus_or_cost.value_grid(mu.points, nu.points, z_pts)
+        _require_finite(grid, "surplus grid")
         pair_best = np.max(grid, axis=2)
         pair_arg = np.argmax(grid, axis=2)
     else:
         pair_best = np.asarray(surplus_or_cost, dtype=float)
         if pair_best.shape != (n, n):
             raise DimensionMismatch(f"cost shape {pair_best.shape}, expected ({n}, {n})")
+        _require_finite(pair_best, "cost matrix")
         pair_arg = None
     w = 1.0 / n
     best = -np.inf

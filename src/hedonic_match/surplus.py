@@ -37,8 +37,8 @@ from .core import DimensionMismatch, ValidationError, as_point_array
 
 ZERO_EIG_REL = 1e-9
 PIVOT_REL_TOL = 1e-10
-# cells per row block of _grid_blocks: 512 KiB of float64, below the CLI's
-# mmap threshold, so blocks reuse heap memory instead of fresh mappings
+# cells per row block of _grid_blocks: 512 KiB of float64, so a fold's
+# working set stays bounded whatever the size of the full grid
 _GRID_BLOCK_CELLS = 1 << 16
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +215,17 @@ def test_reduce_subcommand(tmp_path):
     assert len(lines) == 1 + 4 * 3
 
 
+def test_reduce_rejects_a_non_finite_surplus(tmp_path, capsys):
+    (tmp_path / "surplus.json").write_text(
+        '{"family": "bilinear", "A": [[NaN]], "B": [[0.0]], "C": [[0.0]]}\n')
+    code = main(["reduce", "--surplus", str(tmp_path / "surplus.json"),
+                 "--x-grid", "0:1:2", "--y-grid", "0:1:2", "--z-grid", "0:1:3",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "reduced.csv").exists()
+
+
 def test_brute_force_subcommand(tmp_path):
     code = main(["brute-force", "--random-instance", "1", "--n", "3",
                  "--out", str(tmp_path)])
@@ -284,11 +298,16 @@ def test_missing_z_axis_is_bad_input(tmp_path):
 
 @pytest.mark.parametrize("route", [["solve", "--method", "direct_lp"],
                                    ["solve", "--alpha"],
-                                   ["diagnose"]])
+                                   ["diagnose"],
+                                   ["brute-force"],
+                                   ["brute-force", "--alpha"]])
 def test_non_finite_surplus_is_bad_input_on_three_index_routes(tmp_path, route, capsys):
     (tmp_path / "surplus.json").write_text(
         '{"family": "bilinear", "A": [[NaN]], "B": [[0.0]], "C": [[0.0]]}\n')
-    mu = DiscreteMeasure([[0.0], [0.5], [1.0]], [0.25, 0.25, 0.5])
+    points = [[0.0], [0.5], [1.0]]
+    # brute force needs equal weights
+    mu = (DiscreteMeasure.uniform(points) if route[0] == "brute-force"
+          else DiscreteMeasure(points, [0.25, 0.25, 0.5]))
     measure_to_csv(mu, tmp_path / "mu.csv")
     where = [str(tmp_path / "mu.csv")] if route[-1] == "--alpha" else ["--z-grid", "0:1:3"]
     code = main([*route, *where, "--surplus", str(tmp_path / "surplus.json"),
@@ -326,21 +345,34 @@ def test_pivot_budget_is_its_own_exit_code(tmp_path, monkeypatch, capsys):
     assert "pivot budget" in err
 
 
-def _mapping_of(address: int) -> str:
-    with open("/proc/self/maps") as fh:
-        for line in fh:
-            lo, hi = (int(a, 16) for a in line.split()[0].split("-"))
-            if lo <= address < hi:
-                return line
-    raise AssertionError(f"{address:#x} is in no mapping")
+# Frees a 25 MiB array, allocates a 24 MiB one and prints whether it came
+# from the heap.  glibc raises its mmap threshold to the size of a freed
+# mapped block unless a program has fixed the threshold with mallopt.
+_MAPPING_PROBE = """
+import sys
+import numpy as np
+from hedonic_match.cli import main
+if len(sys.argv) > 1:
+    main(["solve", "--random-instance", "1", "--out", sys.argv[1]])
+np.ones(25 << 17)
+grid = np.ones(24 << 17)
+address = grid.__array_interface__["data"][0]
+with open("/proc/self/maps") as fh:
+    for line in fh:
+        lo, hi = (int(a, 16) for a in line.split()[0].split("-"))
+        if lo <= address < hi:
+            print("[heap]" in line)
+"""
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux")
                     or platform.libc_ver()[0] != "glibc", reason="glibc only")
-def test_main_keeps_large_arrays_off_the_heap(tmp_path):
-    main(["solve", "--random-instance", "1", "--out", str(tmp_path)])
-    # Freeing a 25 MiB mapping would lift glibc's dynamic threshold above
-    # the next array, which then came from the heap.
-    np.ones(25 << 17)
-    grid = np.ones(3 << 20)
-    assert "[heap]" not in _mapping_of(grid.ctypes.data)
+def test_main_changes_no_malloc_setting(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def probe(*args):
+        run = subprocess.run([sys.executable, "-c", _MAPPING_PROBE, *args],
+                             env=env, capture_output=True, text=True, check=True)
+        return run.stdout.splitlines()[-1]
+
+    assert probe(str(tmp_path)) == probe()

@@ -163,6 +163,18 @@ def test_coupling_from_dict_rejects_non_integral_indices(bad):
     np.testing.assert_array_equal(back.indices, c.indices)
 
 
+@pytest.mark.parametrize("bad", [2.9, True, "2", None, float("nan"), float("inf")])
+def test_coupling_from_dict_rejects_a_non_integral_arity(bad):
+    c = _tiny_coupling()
+    d = c.to_dict()
+    d["arity"] = bad
+    with pytest.raises(ValidationError, match="arity") as info:
+        Coupling.from_dict(d, c.mu, c.nu, z_points=c.z_points)
+    assert repr(bad) in str(info.value)
+    d["arity"] = 3.0  # an integral float is an arity
+    assert Coupling.from_dict(d, c.mu, c.nu, z_points=c.z_points).arity == 3
+
+
 def test_coupling_objective_matches_manual_sum():
     c = _tiny_coupling()
     s = CounterexampleSurplus(0.5)

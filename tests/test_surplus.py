@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hedonic_match import cli, surplus
+from hedonic_match import surplus
 from hedonic_match.diagnostics import (
     check_tss_bilinear,
     check_tzss_bilinear,
@@ -107,11 +107,6 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_grid_blocks_stay_below_the_mmap_threshold():
-    # blocks then come from the reused heap, not from fresh mappings
-    assert surplus._GRID_BLOCK_CELLS * 8 < cli.MMAP_THRESHOLD
 
 
 @pytest.mark.parametrize("family", ["bilinear", "supermodular"])
