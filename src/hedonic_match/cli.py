@@ -28,6 +28,7 @@ from .core import (
 )
 from .diagnostics import (
     DegenerateCross,
+    _require_radius,
     check_compatibility_1d,
     check_purity,
     check_strictly_hedonic,
@@ -176,6 +177,7 @@ def _family_twists(s, solved, mu, nu, zs, reduced) -> dict:
 
 
 def _cmd_diagnose(args) -> int:
+    _require_radius(args.radius)
     s, mu, nu, zs, alpha = _gather_problem(args)
     if alpha is not None:
         solved = solve_tripartite_fixed_alpha(s, mu, nu, alpha)

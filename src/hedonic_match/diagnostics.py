@@ -741,13 +741,22 @@ class SupportDimensionReport:
         }
 
 
+def _require_radius(radius) -> None:
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValidationError(f"radius must be finite and positive, got {radius}")
+
+
 def support_dimension(coupling: Coupling, radius: float, s=None) -> SupportDimensionReport:
     """Estimate the dimension of the coupling's support in X×Y×Z.
 
     Needs ≥ 10 support points for the PCA (a single point trivially has
-    dimension 0); with a surplus model the report also carries the signature
-    bound n_x+n_y+n_z − λ₋ evaluated at the support centroid.
+    dimension 0) and a finite radius > 0; with a surplus model the report
+    also carries the signature bound n_x+n_y+n_z − λ₋ evaluated at the
+    support centroid.  Local covariances come from masked sums (count, Σ D,
+    Σ D Dᵀ) over one block of points at a time, with D = p_b − p_a centred on
+    each point a, so that a shift of the support does not move them.
     """
+    _require_radius(radius)
     if coupling.arity != 3:
         raise ValidationError("support dimension needs an arity-3 coupling")
     pts = np.hstack([
@@ -757,37 +766,33 @@ def support_dimension(coupling: Coupling, radius: float, s=None) -> SupportDimen
     ])
     m = pts.shape[0]
 
-    bound = None
-    sig = None
+    bound = sig = None
     if s is not None:
         w = coupling.masses / coupling.total_mass
         centroid = w @ pts
-        dx = coupling.mu.dim
-        dy = coupling.nu.dim
+        dx, dy = coupling.mu.dim, coupling.nu.dim
         rep = signature(s, centroid[:dx], centroid[dx:dx + dy],
                         centroid[dx + dy:])
         bound = rep.dimension_bound
         sig = rep.signature
 
-    if m == 1:
-        return SupportDimensionReport(
-            estimate=0, mean_count=0.0, local_counts=(0,),
-            radius=radius, cutoff=PCA_CUTOFF,
-            signature_bound=bound, signature_triple=sig,
-        )
-    if m < 10:
+    if 1 < m < 10:
         raise TooFewPoints(f"{m} support points; need 1 or >= 10")
 
     r2 = radius * radius
     covs = np.empty((m, pts.shape[1], pts.shape[1]))
-    # squared distances from one block of support points at a time
+    # D[a, :, b] = p_b - p_a with the support points b last, so that every
+    # pass runs along them; a block holds at most _GRID_BLOCK_CELLS offsets
+    cols = np.ascontiguousarray(pts.T)
     rows = max(1, _GRID_BLOCK_CELLS // (m * pts.shape[1]))
     for lo in range(0, m, rows):
-        d2 = np.sum((pts[lo:lo + rows, None, :] - pts[None, :, :]) ** 2, axis=2)
-        for a, near in enumerate(d2 <= r2, start=lo):
-            nbr = pts[near]
-            centered = nbr - nbr.mean(axis=0)
-            covs[a] = centered.T @ centered / nbr.shape[0]
+        D = cols[None, :, :] - pts[lo:lo + rows, :, None]
+        near = np.sum(D * D, axis=1) <= r2
+        D *= near[:, None, :]
+        cnt = near.sum(axis=1)[:, None, None]
+        mean = D.sum(axis=2)[:, :, None] / cnt
+        covs[lo:lo + rows] = (D @ D.transpose(0, 2, 1) / cnt
+                              - mean * mean.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(covs)
     top = eigs[:, -1:]
     counts = np.where(top[:, 0] <= 0.0, 0, np.sum(eigs >= PCA_CUTOFF * top, axis=1))

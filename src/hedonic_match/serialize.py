@@ -2,11 +2,15 @@
 
 JSON output is byte-stable: map keys sorted, floats printed with 17
 significant digits, no locale or hash-order dependence.  Identical inputs
-produce identical files.
+produce identical files.  The writer dispatches on the exact type of the
+plain Python values the reports are made of (float, int, dict, list,
+tuple) and falls back to isinstance checks for None, bools, numpy scalars,
+strings and arrays; either way a value gets the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -16,7 +20,27 @@ import numpy as np
 from .core import DualPotentials, ValidationError, _fmt
 
 
+# the reports' keys: a few dozen names and the indices "0".."n-1" of the
+# purity maps, written in the same order for each map; a cache smaller than
+# those would evict every index key before its next use
+@functools.lru_cache(maxsize=4096)
+def _key(key: str) -> str:
+    return json.dumps(key)
+
+
 def _write_value(obj) -> str:
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValidationError(f"non-finite value {obj} has no JSON form")
+        return _fmt(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is dict:
+        items = sorted((str(k), v) for k, v in obj.items())
+        return "{" + ", ".join([f"{_key(k)}: {_write_value(v)}" for k, v in items]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([_write_value(v) for v in obj]) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -24,19 +48,13 @@ def _write_value(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return repr(int(obj))
     if isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        if not math.isfinite(val):
-            raise ValidationError(f"non-finite value {val} has no JSON form")
-        return _fmt(val)
+        return _write_value(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = sorted((str(k), v) for k, v in obj.items())
-        body = ", ".join(f"{json.dumps(k)}: {_write_value(v)}" for k, v in items)
-        return "{" + body + "}"
+        return _write_value(dict(obj))
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(_write_value(v) for v in seq) + "]"
+        return _write_value(obj.tolist() if isinstance(obj, np.ndarray) else list(obj))
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -128,6 +128,19 @@ def test_diagnose_writes_full_report(tmp_path):
         "holds", "fails", "inconclusive")
 
 
+@pytest.mark.parametrize("radius", ["-0.25", "0", "nan", "inf"])
+def test_diagnose_rejects_a_radius_before_solving(tmp_path, monkeypatch, capsys, radius):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("diagnose solved with an unusable radius")
+
+    monkeypatch.setattr(cli, "solve_hybrid", no_solve)
+    code = main(["diagnose", "--random-instance", "1", "--n", "12", "--nz", "5",
+                 f"--radius={radius}", "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "radius" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
 def test_diagnose_counterexample_family(tmp_path):
     code = main(["diagnose", "--random-instance", "7",
                  "--family", "counterexample", "--out", str(tmp_path)])

@@ -748,6 +748,59 @@ def test_support_dimension_needs_arity3():
         support_dimension(pair, radius=0.1)
 
 
+def _per_point_counts(coupling, radius):
+    """local_counts from one neighbour set and one covariance per point,
+    each centred on its neighbours' mean: the reference for the masked sums."""
+    pts = np.hstack([coupling.mu.points[coupling.indices[:, 0]],
+                     coupling.nu.points[coupling.indices[:, 1]],
+                     coupling.z_points[coupling.indices[:, 2]]])
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    covs = np.empty((pts.shape[0], pts.shape[1], pts.shape[1]))
+    for a, near in enumerate(d2 <= radius * radius):
+        centered = pts[near] - pts[near].mean(axis=0)
+        covs[a] = centered.T @ centered / centered.shape[0]
+    eigs = np.linalg.eigvalsh(covs)
+    top = eigs[:, -1:]
+    counts = np.where(top[:, 0] <= 0.0, 0,
+                      np.sum(eigs >= diagnostics.PCA_CUTOFF * top, axis=1))
+    return tuple(counts.tolist())
+
+
+def _shifted(coupling, shift):
+    mu, nu = coupling.mu, coupling.nu
+    return Coupling(coupling.indices, coupling.masses,
+                    DiscreteMeasure(mu.points + shift, mu.weights),
+                    DiscreteMeasure(nu.points + shift, nu.weights),
+                    z_points=coupling.z_points + shift)
+
+
+def _support_ladder(plane):
+    yield "plane", plane.coupling, 0.25
+    for seed in range(8):
+        for family in ("bilinear", "supermodular", "counterexample"):
+            inst = random_instance(seed, n=30, nz=9, family=family)
+            res = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+            yield f"{family}-{seed}", res.coupling, 0.3
+
+
+def test_support_dimension_matches_per_point_covariances_and_ignores_shifts(plane):
+    varied = 0
+    for name, coupling, radius in _support_ladder(plane):
+        counts = support_dimension(coupling, radius=radius).local_counts
+        assert counts == _per_point_counts(coupling, radius), name
+        varied += len(set(counts)) > 1
+        for shift in (1e3, 1e5):
+            moved = support_dimension(_shifted(coupling, shift), radius=radius)
+            assert moved.local_counts == counts, (name, shift)
+    assert varied > 0
+
+
+@pytest.mark.parametrize("radius", [-0.25, 0.0, np.nan, np.inf])
+def test_support_dimension_rejects_a_radius_it_cannot_use(plane, radius):
+    with pytest.raises(ValidationError, match="radius"):
+        support_dimension(plane.coupling, radius=radius, s=plane.surplus)
+
+
 # --- structural predictions across random instances -------------------------
 
 def test_purity_under_tzss_over_random_bilinear():

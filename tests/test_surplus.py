@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from hedonic_match import surplus
+from hedonic_match.core import Coupling, DiscreteMeasure
 from hedonic_match.diagnostics import (
     check_tss_bilinear,
     check_tzss_bilinear,
     sample_splitting_sets,
+    support_dimension,
     verify_stability,
 )
 from hedonic_match.instances import random_instance
@@ -129,6 +131,18 @@ def test_stability_and_splitting_peaks_stay_below_one_grid(family):
     assert _traced_peak(lambda: sample_splitting_sets(
         inst.surplus, inst.mu.points, res.potentials.V, inst.nu.points,
         inst.z_points)) < grid_bytes
+
+
+def test_support_dimension_peak_stays_far_below_all_offsets():
+    # all 2,000 x 2,000 offsets in 3-D would take 96 MB; the local PCA
+    # forms them one block of query points at a time
+    rng = np.random.default_rng(0)
+    m = 2000
+    mu, nu = (DiscreteMeasure.uniform(rng.uniform(size=(m, 1))) for _ in range(2))
+    idx = np.repeat(np.arange(m)[:, None], 3, axis=1)
+    coupling = Coupling(idx, np.full(m, 1.0 / m), mu, nu,
+                        z_points=rng.uniform(size=(m, 1)))
+    assert _traced_peak(lambda: support_dimension(coupling, radius=0.2)) < 4e6
 
 
 def _same_bits(a, b) -> bool:
