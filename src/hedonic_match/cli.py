@@ -89,19 +89,31 @@ def _axis_points(grid_arg, points_arg, label: str) -> np.ndarray:
     return measure_from_csv(points_arg).points
 
 
+def _refuse(args, flags: str, where: str) -> None:
+    """ValidationError naming each of flags that was given: `where` ignores it."""
+    given = [f for f in flags.split() if getattr(args, f.replace("-", "_")) is not None]
+    if given:
+        raise ValidationError(f"--{', --'.join(given)} cannot be used {where}")
+
+
 def _gather_problem(args):
-    """(surplus, mu, nu, z_points, alpha) from files or a seeded instance."""
+    """(surplus, mu, nu, z_points, alpha) from files or a seeded instance;
+    ValidationError, before any work, for a flag that source would ignore."""
     if args.random_instance is not None:
+        _refuse(args, "surplus mu nu alpha z-grid z-points", "with --random-instance")
         inst = random_instance(args.random_instance, n=args.n, nz=args.nz,
                                family=args.family)
         return inst.surplus, inst.mu, inst.nu, inst.z_points, None
+    _refuse(args, "n nz family", "without --random-instance")
     if args.surplus is None or args.mu is None or args.nu is None:
         raise ValidationError(
             "need --surplus, --mu and --nu (or --random-instance SEED)")
+    if args.alpha is not None:
+        _refuse(args, "z-grid z-points", "with --alpha, whose points are the goods")
     s = _load_surplus(args.surplus)
     mu = measure_from_csv(args.mu)
     nu = measure_from_csv(args.nu)
-    alpha = measure_from_csv(args.alpha) if args.alpha else None
+    alpha = measure_from_csv(args.alpha) if args.alpha is not None else None
     if alpha is not None:
         zs = alpha.points
     else:
@@ -152,7 +164,7 @@ def _cmd_solve(args) -> int:
 
 # --- diagnose ---------------------------------------------------------------
 
-def _family_twists(s, solved, mu, nu, zs, reduced) -> dict:
+def _family_twists(s, solved, mu, nu, zs) -> dict:
     checks = {}
     if tuple(s.dims) == (1, 1, 1):
         support = [(mu.points[i], nu.points[j], zs[k])
@@ -169,9 +181,9 @@ def _family_twists(s, solved, mu, nu, zs, reduced) -> dict:
                                                       s.D).to_dict()
     if getattr(s, "family", "") == "strictly_hedonic":
         checks["strictly_hedonic"] = check_strictly_hedonic(
-            s, None, mu.points, nu.points, zs, reduced=reduced).to_dict()
+            s, None, mu.points, nu.points, zs, reduced=solved.reduction).to_dict()
     _, sampled = sample_splitting_sets(s, mu.points, solved.potentials.V,
-                                       nu.points, zs, reduced=reduced)
+                                       nu.points, zs, reduced=solved.reduction)
     checks["tzss_sampled"] = sampled.to_dict()
     return checks
 
@@ -194,13 +206,11 @@ def _cmd_diagnose(args) -> int:
             "warnings": list(solved.warnings),
         },
     }
-    # one pass over the surplus grid: the stability check (without W), the
-    # splitting sets and the strictly hedonic check read the solve's reduction
-    reduced = solved.reduction
-    if reduced is None:
-        reduced = reduce_surplus(s, mu.points, nu.points, zs)
+    # the stability check (without W), the splitting sets and the strictly
+    # hedonic check read the solve's reduction, not the surplus grid
     stability = verify_stability(s, solved.coupling, solved.potentials,
-                                 z_potential=solved.z_potential, reduced=reduced)
+                                 z_potential=solved.z_potential,
+                                 reduced=solved.reduction)
     report["stability"] = stability.to_dict()
     purity = check_purity(solved.coupling, warnings=solved.warnings)
     report["purity"] = purity.to_dict()
@@ -212,7 +222,7 @@ def _cmd_diagnose(args) -> int:
             solved.coupling, radius=args.radius, s=s).to_dict()
     except ValidationError as exc:
         report["support_dimension"] = {"skipped": str(exc)}
-    report["twists"] = _family_twists(s, solved, mu, nu, zs, reduced)
+    report["twists"] = _family_twists(s, solved, mu, nu, zs)
 
     out = _out_dir(args)
     dump_json(report, out / "diagnostics.json")
@@ -305,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="re-run a named example")
     p.add_argument("example_id", choices=EXAMPLE_IDS)
     p.add_argument("--a", type=float, default=None,
-                   help="override the quadratic-penalty coefficient")
+                   help="override the quadratic-penalty coefficient "
+                        "(counterexample and bilinear-tzss-family only)")
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("reduce", help="tabulate the reduced two-body surplus")

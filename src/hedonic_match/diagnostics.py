@@ -44,10 +44,6 @@ class NotSeparable(ValidationError):
     pass
 
 
-class InfeasibleV(ValidationError):
-    pass
-
-
 class TooFewPoints(ValidationError):
     pass
 
@@ -227,11 +223,10 @@ class PurityReport:
         }
 
 
-def check_purity(coupling: Coupling, mass_threshold: float = MASS_THRESHOLD,
-                 warnings: tuple = ()) -> PurityReport:
+def check_purity(coupling: Coupling, warnings: tuple = ()) -> PurityReport:
     """Fan-out counts per buyer index; pure means one (seller, good) each.
 
-    Entries below mass_threshold are ignored as simplex dust.  Warnings
+    Entries below MASS_THRESHOLD are ignored as simplex dust.  Warnings
     (e.g. argmax ties from the reduction) pass through untouched.
     """
     if coupling.arity != 3:
@@ -240,7 +235,7 @@ def check_purity(coupling: Coupling, mass_threshold: float = MASS_THRESHOLD,
     zs: dict[int, set] = {}
     pairs: dict[int, set] = {}
     for (i, j, k), w in zip(coupling.indices, coupling.masses):
-        if w < mass_threshold:
+        if w < MASS_THRESHOLD:
             continue
         i, j, k = int(i), int(j), int(k)
         ys.setdefault(i, set()).add(j)
@@ -260,7 +255,7 @@ def check_purity(coupling: Coupling, mass_threshold: float = MASS_THRESHOLD,
         fan_out=fan_out,
         F_Y=F_Y,
         F_Z=F_Z,
-        mass_threshold=mass_threshold,
+        mass_threshold=MASS_THRESHOLD,
         warnings=tuple(warnings),
     )
 
@@ -519,16 +514,14 @@ def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
     return clusters
 
 
-def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
-                          require_feasible: bool = False, reduced=None):
+def sample_splitting_sets(s, xs, V, ys, zs, reduced=None):
     """Extract z-trivial splitting sets and test the sampled twist.
 
     For each x the members are the (y,z) grid pairs attaining the slice
-    maximum of s(x,·,·) − V(·) within tol, a fraction of the grid's range
+    maximum of s(x,·,·) − V(·) within tol, STABILITY_TOL of the grid's range
     max − min (the samples give it in absolute units).  Each slice is
     implicitly shifted by that maximum (splitting functions are defined up
-    to a constant per x); require_feasible instead insists the maximum is
-    ≤ tol and raises InfeasibleV when it is not.
+    to a constant per x).
 
     The slice maxima come from the reduction sbar = max_z s (pass the
     solve's as reduced, or it is computed here): ReducedSurplus.residual
@@ -548,15 +541,9 @@ def sample_splitting_sets(s, xs, V, ys, zs, tol: float = STABILITY_TOL,
     if V.size != Y.shape[0]:
         raise SizeMismatch(f"V has {V.size} entries for {Y.shape[0]} y-points")
     red = _reduction_for(s, X, Y, Z, reduced)
-    tol = tol * red.grid_scale
+    tol = STABILITY_TOL * red.grid_scale
     delta = red.residual(np.zeros(X.shape[0]), V)
     shifts = np.max(delta, axis=1)
-    if require_feasible and np.any(shifts > tol):
-        ix = int(np.argmax(shifts > tol))
-        raise InfeasibleV(
-            f"max of s - V is {shifts[ix]:.3e} > tol at x index {ix}; "
-            "V does not dominate this slice"
-        )
     # the members in (x, y, z) order, from the candidates' z-columns
     pairs = np.argwhere(delta >= (shifts - tol)[:, None])
     blocks = [np.empty((0, 3), dtype=np.intp)]

@@ -2,11 +2,11 @@
 
 The two-step route to the hybrid problem: collapse z by maximizing,
     sbar(x, y) = max_z s(x, y, z),
-remember which z attained it, then match buyers to sellers on sbar.  The
-c-transforms build dual-feasible payoff pairs by the same maximization and
-drive the duality arguments.  Each pass folds the surplus grid one block of
-x rows at a time (SurplusModel._grid_blocks), so none holds the full
-n_x × n_y × n_z array.
+remember which z attained it, then match buyers to sellers on sbar.  _fold
+is the package's one fold of the surplus grid over goods, one block of x
+rows at a time (SurplusModel._grid_blocks): reduce holds no more than a
+block, and the three-index LPs keep each block in the grid they price.  The
+c-transforms are maxima of the reduction's residual.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ReducedSurplus:
     boundary: np.ndarray
     z_points: np.ndarray
     lowest: float
-    tie_tol: float = TIE_TOL
+    tie_tol: float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,25 +88,16 @@ def _require_points(obj, label: str) -> np.ndarray:
     return pts
 
 
-def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
-    """Maximize s over the Z set for every (x, y) pair.
-
-    Ties resolve to the smallest z-index; the tie flag marks pairs where a
-    second index lands within tie_tol of the max; tie_tol is a fraction of
-    the reduced values' range, given in absolute units in the result.  The
-    boundary flag marks argmaxes on the bounding box of Z, where the discrete
-    first-order condition says nothing.
-    """
-    X = _require_points(xs, "X")
-    Y = _require_points(ys, "Y")
-    Z = _require_points(zs, "Z")
-    best = np.empty((X.shape[0], Y.shape[0]), dtype=np.intp)
-    values = np.empty(best.shape)
+def _fold(blocks, shape: tuple[int, int], Z: np.ndarray) -> ReducedSurplus:
+    """The reduction from (lo, block) pairs, block[a] = s(X[lo + a], Y, Z),
+    that cover the x rows of the grid; each block is overwritten."""
+    best = np.empty(shape, dtype=np.intp)
+    values = np.empty(shape)
     # the largest value once the argmax is struck out, -inf when nz = 1: a
     # second index comes within tie_tol exactly when this one does
-    second = np.empty(best.shape)
+    second = np.empty(shape)
     lows = []
-    for lo, grid in s._grid_blocks(X, Y, Z):
+    for lo, grid in blocks:
         rows = slice(lo, lo + grid.shape[0])
         lows.append(grid.min())
         arg = np.argmax(grid, axis=2)[:, :, None]
@@ -114,7 +105,7 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
         values[rows] = np.take_along_axis(grid, arg, axis=2)[:, :, 0]
         np.put_along_axis(grid, arg, -np.inf, axis=2)
         np.max(grid, axis=2, out=second[rows])
-    tie_tol = tie_tol * grid_scale(values)
+    tie_tol = TIE_TOL * grid_scale(values)
     tie = second >= values - tie_tol
     lo = Z.min(axis=0)
     hi = Z.max(axis=0)
@@ -124,42 +115,47 @@ def reduce(s, xs, ys, zs, tie_tol: float = TIE_TOL) -> ReducedSurplus:
                           z_points=Z, lowest=float(np.min(lows)), tie_tol=tie_tol)
 
 
-def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
-    """Buyer payoffs from seller payoffs: U(x) = max_{y,z} s(x,y,z) - V(y).
+def reduce(s, xs, ys, zs) -> ReducedSurplus:
+    """Maximize s over the Z set for every (x, y) pair.
 
-    The pair (output, V) is dual-feasible on the grid by construction, with
-    equality where the max is attained.
+    Ties resolve to the smallest z-index; the tie flag marks pairs where a
+    second index lands within TIE_TOL of the max; TIE_TOL is a fraction of
+    the reduced values' range, given in absolute units in the result.  The
+    boundary flag marks argmaxes on the bounding box of Z, where the discrete
+    first-order condition says nothing.
     """
     X = _require_points(xs, "X")
     Y = _require_points(ys, "Y")
     Z = _require_points(zs, "Z")
-    V = np.asarray(V, dtype=float).reshape(-1)
-    if V.shape[0] != Y.shape[0]:
-        raise ValidationError(f"V has {V.shape[0]} entries for {Y.shape[0]} y-points")
-    if not np.all(np.isfinite(V)):
-        raise ValidationError("V must be finite")
-    U = np.empty(X.shape[0])
-    for lo, grid in s._grid_blocks(X, Y, Z):
-        grid -= V[None, :, None]
-        np.max(grid, axis=(1, 2), out=U[lo:lo + grid.shape[0]])
-    return U
+    return _fold(s._grid_blocks(X, Y, Z), (X.shape[0], Y.shape[0]), Z)
+
+
+def _payoffs(P, n: int, label: str, axis: str) -> np.ndarray:
+    P = np.asarray(P, dtype=float).reshape(-1)
+    if P.shape[0] != n:
+        raise ValidationError(f"{label} has {P.shape[0]} entries for {n} {axis}-points")
+    if not np.all(np.isfinite(P)):
+        raise ValidationError(f"{label} must be finite")
+    return P
+
+
+def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
+    """Buyer payoffs from seller payoffs: U(x) = max_{y,z} s(x,y,z) - V(y).
+
+    The pair (output, V) is dual-feasible on the grid by construction, with
+    equality where the max is attained.  Row maxima of the reduction's
+    residual, bit for bit those of s - V over the grid.
+    """
+    V = _payoffs(V, _require_points(ys, "Y").shape[0], "V", "y")
+    red = reduce(s, xs, ys, zs)
+    return red.residual(np.zeros(red.shape[0]), V).max(axis=1)
 
 
 def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
     """Seller payoffs from buyer payoffs: V(y) = max_{x,z} s(x,y,z) - U(x)."""
-    X = _require_points(xs, "X")
-    Y = _require_points(ys, "Y")
-    Z = _require_points(zs, "Z")
-    U = np.asarray(U, dtype=float).reshape(-1)
-    if U.shape[0] != X.shape[0]:
-        raise ValidationError(f"U has {U.shape[0]} entries for {X.shape[0]} x-points")
-    if not np.all(np.isfinite(U)):
-        raise ValidationError("U must be finite")
-    V = np.full(Y.shape[0], -np.inf)
-    for lo, grid in s._grid_blocks(X, Y, Z):
-        grid -= U[lo:lo + grid.shape[0], None, None]
-        np.maximum(V, np.max(grid, axis=(0, 2)), out=V)
-    return V
+    U = _payoffs(U, _require_points(xs, "X").shape[0], "U", "x")
+    red = reduce(s, xs, ys, zs)
+    return red.residual(U, np.zeros(red.shape[1])).max(axis=0)
 
 
 def reduced_to_csv(reduced: ReducedSurplus, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, _fmt, coupling_objective
+from .core import DiscreteMeasure, ValidationError, _fmt, coupling_objective
 from .diagnostics import (
     NotSeparable,
     check_compatibility_1d,
@@ -178,7 +178,7 @@ def _run_counterexample_offhalf(a: float) -> list[CheckRow]:
 
 # --- bilinear twist criteria ------------------------------------------------
 
-def _run_bilinear_tss(a=None) -> list[CheckRow]:
+def _run_bilinear_tss() -> list[CheckRow]:
     eye = np.eye(2)
     rows = []
     rep = check_tss_bilinear(eye, eye, eye)
@@ -193,7 +193,7 @@ def _run_bilinear_tss(a=None) -> list[CheckRow]:
     return rows
 
 
-def _run_tzss_family(a=None) -> list[CheckRow]:
+def _run_tzss_family(a: float | None) -> list[CheckRow]:
     targets = [float(a)] if a is not None else [0.25, 0.5, 1.0]
     rows = []
     for av in targets:
@@ -214,7 +214,7 @@ def _run_tzss_family(a=None) -> list[CheckRow]:
 
 # --- supermodular monomial --------------------------------------------------
 
-def _run_supermodular(a=None) -> list[CheckRow]:
+def _run_supermodular() -> list[CheckRow]:
     s = Supermodular1DSurplus((1, 1, 1))
     rows = []
     sig = signature(s, [1.0], [1.0], [1.0])
@@ -256,7 +256,7 @@ def _hedonic_pair():
     return u, v
 
 
-def _run_strictly_hedonic(a=None) -> list[CheckRow]:
+def _run_strictly_hedonic() -> list[CheckRow]:
     u, v = _hedonic_pair()
     xs = np.array([[0.25], [0.5], [0.75]])
     ys = np.array([[0.25], [0.5], [0.75]])
@@ -283,7 +283,7 @@ def _run_strictly_hedonic(a=None) -> list[CheckRow]:
     return rows
 
 
-def _run_pointmass_alpha(a=None) -> list[CheckRow]:
+def _run_pointmass_alpha() -> list[CheckRow]:
     u, v = _hedonic_pair()
     s = StrictlyHedonicSurplus(u, v)
     mu = DiscreteMeasure.uniform(np.array([[0.25], [0.5], [0.75]]))
@@ -307,7 +307,7 @@ def _run_pointmass_alpha(a=None) -> list[CheckRow]:
 
 # --- expcos signature -------------------------------------------------------
 
-def _run_expcos(a=None) -> list[CheckRow]:
+def _run_expcos() -> list[CheckRow]:
     s = ExpCosSurplus()
     rng = np.random.default_rng(20260823)
     rows = []
@@ -349,9 +349,18 @@ _RUNNERS = {
 }
 
 
+# the runs that take the quadratic-penalty coefficient a
+_TAKES_A = ("counterexample", "bilinear-tzss-family")
+
+
 def run_example(example_id: str, a: float | None = None) -> list[CheckRow]:
-    """Run one named reproduction; unknown ids raise KeyError."""
+    """Run one named reproduction; unknown ids raise KeyError, and an a for
+    a run that takes none ValidationError."""
     if example_id not in _RUNNERS:
         raise KeyError(f"unknown example id {example_id!r}; "
                        f"choose from {', '.join(EXAMPLE_IDS)}")
-    return _RUNNERS[example_id](a)
+    if example_id in _TAKES_A:
+        return _RUNNERS[example_id](a)
+    if a is not None:
+        raise ValidationError(f"{example_id} takes no a; only {' and '.join(_TAKES_A)} do")
+    return _RUNNERS[example_id]()

@@ -13,9 +13,9 @@ compare genuinely different code paths:
   three-index LPs.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
-support-based diagnostics stay meaningful.  max_over_alpha certifies its
-fixed-alpha LP with neither: it checks the reduce_lift duals against the
-solve's own reduction, without evaluating the surplus grid again.
+support-based diagnostics stay meaningful.  Every solve of a surplus model
+returns its grid's reduction over goods; max_over_alpha certifies its
+fixed-alpha LP from the reduce_lift duals and that reduction alone.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from .core import (
     SOLVER_MARGINAL_TOL,
     ValidationError,
     as_point_array,
-    grid_scale,
     project,
 )
-from .reduction import ReducedSurplus, reduce
+from .reduction import ReducedSurplus, _fold, reduce
 
 # ENTER_TOL and DEGEN_TOL are fractions of the reward range; RATIO_TOL and
 # MASS_CLAMP are on the unit-mass scale.
@@ -74,7 +73,8 @@ class SolveResult:
     """Optimal coupling, payoffs, and solve metadata.
 
     z_potential is populated only for fixed-alpha tripartite solves, where
-    the dual objective includes a third potential over goods.
+    the dual objective includes a third potential over goods.  Every solve
+    of a surplus model sets reduction to reduce(s, X, Y, Z), bit for bit.
     """
 
     coupling: Coupling
@@ -444,45 +444,45 @@ def _greedy_tripartite_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         pos[next((ax for ax in movable if rem[ax][pos[ax]] == 0.0), movable[0])] += 1
 
 
-def _bipartite_warm_columns(a: np.ndarray, b: np.ndarray,
-                            grid: np.ndarray) -> list[int]:
-    """Northwest-corner cells, each at its pair's best good: the same X and Y
-    rows as any other choice of goods, so still a basis of the free-z LP."""
-    _, ny, nz = grid.shape
-    cells, _ = _northwest_path(a, b)
-    return [(i * ny + j) * nz + int(np.argmax(grid[i, j])) for (i, j) in cells]
-
-
 def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
                  alpha: DiscreteMeasure | None) -> SolveResult:
     """The free-z LP (alpha None), started from the northwest-corner cells at
     each pair's best good, or the fixed-alpha LP, started from the greedy
-    tripartite path.  Raises TooLarge before allocating when the grid, the
-    pricing buffer, B and B⁻¹ would exceed LP_BYTES_LIMIT, and
-    ValidationError on a non-finite grid, which no pivot could price.
+    tripartite path; the result carries the grid's reduction.  Raises
+    TooLarge before allocating when the grid, the pricing buffer, the
+    reduction, B and B⁻¹ would exceed LP_BYTES_LIMIT, and ValidationError on
+    a non-finite grid, which no pivot could price.
     """
     nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
     fixed = alpha is not None
     weights = [mu.weights, nu.weights] + ([alpha.weights] if fixed else [])
     m = nx + ny - 1 + (nz - 1 if fixed else 0)
-    need = 8 * (2 * nx * ny * nz + 2 * m * m)
+    need = 8 * (2 * nx * ny * nz + 3 * nx * ny + 2 * m * m)
     if need > LP_BYTES_LIMIT:
         raise TooLarge(
-            f"the {nx}x{ny}x{nz} LP needs about {need / 2**20:,.0f} MiB for its "
-            f"grid, pricing buffer, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+            f"the {nx}x{ny}x{nz} LP needs about {need / 2**20:,.0f} MiB for its grid, pricing "
+            f"buffer, reduction, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
     totals = [float(np.sum(w)) for w in weights]
     if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("marginals carry different total mass")
 
-    grid = s.value_grid(mu.points, nu.points, z_pts)
-    scale = grid_scale(grid)
+    grid = np.empty((nx, ny, nz))
+
+    def kept():  # each block of rows, kept before the fold overwrites it
+        for lo, block in s._grid_blocks(mu.points, nu.points, z_pts):
+            grid[lo:lo + block.shape[0]] = block
+            yield lo, block
+
+    red = _fold(kept(), (nx, ny), z_pts)
+    scale = red.grid_scale
     if not np.isfinite(scale):
         raise ValidationError("surplus grid must be finite, with a finite range")
     rhs = np.concatenate([mu.weights] + [w[:-1] for w in weights[1:]])
     if fixed:
         start = _greedy_tripartite_basis(mu.weights, nu.weights, alpha.weights, ny, nz)
-    else:
-        start = _bipartite_warm_columns(mu.weights, nu.weights, grid)
+    else:  # the same X and Y rows as any other choice of goods: still a basis
+        start = [(i * ny + j) * nz + int(red.argmax[i, j])
+                 for i, j in _northwest_path(mu.weights, nu.weights)[0]]
     x, y, iterations, degen = _cell_simplex(grid, rhs, start, fixed, scale)
     U = y[:nx].copy()
     V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
@@ -506,6 +506,7 @@ def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
         degenerate_optimum=degen,
         method="tripartite_fixed_alpha" if fixed else "direct_lp",
         z_potential=W,
+        reduction=red,
     )
 
 
@@ -619,6 +620,7 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
         degenerate_optimum=res.degenerate_optimum or bool(red.tie[i, j].any()),
         method="tripartite_fixed_alpha",
         z_potential=np.zeros(alpha.size),
+        reduction=red,
     )
     if max(residual, abs(primal - res.objective), abs(primal - dual)) > bound:
         raise RuntimeError(

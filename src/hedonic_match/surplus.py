@@ -154,16 +154,29 @@ def _mat(lead: tuple, rows) -> np.ndarray:
     return np.stack([_vec(lead, row) for row in rows], axis=-2)
 
 
-def _snap(nodes: np.ndarray, q, label: str) -> np.ndarray:
-    """Index of the node each query sits on (snap tolerance 1e-8 relative to
-    the node span); OutOfGrid when any query is off the nodes."""
-    q = np.asarray(q, dtype=float)
-    idx = np.argmin(np.abs(nodes - q[..., None]), axis=-1)
-    span = float(nodes[-1] - nodes[0]) if nodes.size > 1 else 1.0
-    off = ~(np.abs(nodes[idx] - q) <= 1e-8 * (1.0 + abs(span)))
-    if np.any(off):
-        raise OutOfGrid(f"{label} = {q[off].flat[0]} is not a grid node")
-    return idx
+def _canon_point(p, want: int, axis: str) -> np.ndarray:
+    """One point as a flat float array; DimensionMismatch unless it has want
+    coordinates."""
+    arr = np.atleast_1d(np.asarray(p, dtype=float)).reshape(-1)
+    if arr.shape[0] != want:
+        raise DimensionMismatch(
+            f"{axis}-coordinate has dimension {arr.shape[0]}, model wants {want}")
+    return arr
+
+
+def _snap(nodes, points, labels: str) -> tuple:
+    """Per axis, the index of the node each 1-D point sits on (snap tolerance
+    1e-8 relative to the node span); OutOfGrid when any is off the nodes."""
+    out = []
+    for n, P, label in zip(nodes, points, labels):
+        q = P[..., 0]
+        idx = np.argmin(np.abs(n - q[..., None]), axis=-1)
+        span = float(n[-1] - n[0]) if n.size > 1 else 1.0
+        off = ~(np.abs(n[idx] - q) <= 1e-8 * (1.0 + abs(span)))
+        if np.any(off):
+            raise OutOfGrid(f"{label} = {q[off].flat[0]} is not a grid node")
+        out.append(idx)
+    return tuple(out)
 
 
 # --- base model ------------------------------------------------------------
@@ -189,13 +202,7 @@ class SurplusModel:
         raise NotImplementedError
 
     def _canon(self, p, axis: str) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(p, dtype=float)).reshape(-1)
-        want = self.dims["xyz".index(axis)]
-        if arr.shape[0] != want:
-            raise DimensionMismatch(
-                f"{axis}-coordinate has dimension {arr.shape[0]}, model wants {want}"
-            )
-        return arr
+        return _canon_point(p, self.dims["xyz".index(axis)], axis)
 
     def _canon_grid(self, pts, axis: str) -> np.ndarray:
         arr = as_point_array(pts)
@@ -521,10 +528,9 @@ class _Component:
     kernels over points P, Z of shape (..., d_p), (..., d_z): _kernel for w,
     _grad for (D_p w, D_z w) and _hess for D²pz w."""
 
-    @staticmethod
-    def _pz(p, z) -> tuple[np.ndarray, np.ndarray]:
-        return (np.atleast_1d(np.asarray(p, dtype=float)),
-                np.atleast_1d(np.asarray(z, dtype=float)))
+    def _pz(self, p, z) -> tuple[np.ndarray, np.ndarray]:
+        dp, dz = self.dims
+        return _canon_point(p, dp, "p"), _canon_point(z, dz, "z")
 
     def value(self, p, z) -> float:
         return float(self._kernel(*self._pz(p, z)))
@@ -579,58 +585,36 @@ class BilinearComponent(_Component):
 
 
 class TabulatedComponent(_Component):
-    """One side of a hedonic surplus tabulated on 1-D node grids.
-
-    Evaluation snaps to nodes (no extrapolation); derivatives are central
-    differences with one-sided stencils at the boundary, step = node spacing.
-    """
+    """One side of a hedonic surplus tabulated on 1-D node grids (_table);
+    evaluation snaps to nodes (no extrapolation)."""
 
     kind = "tabulated"
 
     def __init__(self, values, p_nodes, z_nodes):
-        self.values = np.asarray(values, dtype=float)
-        self.p_nodes = np.asarray(p_nodes, dtype=float).reshape(-1)
-        self.z_nodes = np.asarray(z_nodes, dtype=float).reshape(-1)
-        if self.values.shape != (self.p_nodes.size, self.z_nodes.size):
-            raise ShapeMismatch(
-                f"table shape {self.values.shape} vs nodes "
-                f"({self.p_nodes.size}, {self.z_nodes.size})"
-            )
-        for nodes, lab in ((self.p_nodes, "p"), (self.z_nodes, "z")):
-            if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
-                raise ValidationError(f"{lab}-nodes must be strictly increasing")
-        self._dp = _safe_gradient(self.values, self.p_nodes, axis=0)
-        self._dz = _safe_gradient(self.values, self.z_nodes, axis=1)
-        self._dpz = _safe_gradient(self._dp, self.z_nodes, axis=1)
+        self.values, nodes, self._first, self._mixed = _table(values, (p_nodes, z_nodes))
+        self.p_nodes, self.z_nodes = nodes
 
     @property
     def dims(self) -> tuple[int, int]:
         return (1, 1)
 
     def _at(self, P, Z):
-        return (_snap(self.p_nodes, np.atleast_1d(P)[..., 0], "p"),
-                _snap(self.z_nodes, np.atleast_1d(Z)[..., 0], "z"))
+        return _snap((self.p_nodes, self.z_nodes), (P, Z), "pz")
 
     def _kernel(self, P, Z):
         return self.values[self._at(P, Z)]
 
     def _grad(self, P, Z):
         at = self._at(P, Z)
-        return self._dp[at][..., None], self._dz[at][..., None]
+        return tuple(g[at][..., None] for g in self._first)
 
     def _hess(self, P, Z):
-        return self._dpz[self._at(P, Z)][..., None, None]
+        return self._mixed[0][self._at(P, Z)][..., None, None]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "values": self.values.tolist(),
                 "p_nodes": self.p_nodes.tolist(),
                 "z_nodes": self.z_nodes.tolist()}
-
-
-def _safe_gradient(values: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
-    if values.shape[axis] < 2:
-        return np.zeros_like(values)
-    return np.gradient(values, coords, axis=axis)
 
 
 def _component_from_dict(data: dict) -> "BilinearComponent | TabulatedComponent":
@@ -687,51 +671,36 @@ class StrictlyHedonicSurplus(SurplusModel):
 
 
 class TabulatedSurplus(SurplusModel):
-    """Dense value grid over three 1-D node sets; derivatives by differences.
+    """Dense value grid over three 1-D node sets (_table).
 
     Queries must hit grid nodes (snap tolerance 1e-8 relative); there is no
-    extrapolation.  First and mixed second derivatives use central stencils
-    inside the grid and one-sided stencils on the boundary, with the grid
-    spacing as the step.
+    extrapolation.
     """
 
     family = "tabulated"
 
     def __init__(self, values, x_nodes, y_nodes, z_nodes):
-        self.values = np.asarray(values, dtype=float)
-        self.x_nodes = _nodes_of(x_nodes)
-        self.y_nodes = _nodes_of(y_nodes)
-        self.z_nodes = _nodes_of(z_nodes)
-        want = (self.x_nodes.size, self.y_nodes.size, self.z_nodes.size)
-        if self.values.shape != want:
-            raise ShapeMismatch(f"value grid {self.values.shape}, nodes want {want}")
-        self._gx = _safe_gradient(self.values, self.x_nodes, axis=0)
-        self._gy = _safe_gradient(self.values, self.y_nodes, axis=1)
-        self._gz = _safe_gradient(self.values, self.z_nodes, axis=2)
-        self._gxy = _safe_gradient(self._gx, self.y_nodes, axis=1)
-        self._gxz = _safe_gradient(self._gx, self.z_nodes, axis=2)
-        self._gyz = _safe_gradient(self._gy, self.z_nodes, axis=2)
+        self.values, nodes, self._first, self._mixed = _table(
+            values, (x_nodes, y_nodes, z_nodes))
+        self.x_nodes, self.y_nodes, self.z_nodes = nodes
 
     @property
     def dims(self):
         return (1, 1, 1)
 
     def _ijk(self, X, Y, Z):
-        return (_snap(self.x_nodes, X[..., 0], "x"),
-                _snap(self.y_nodes, Y[..., 0], "y"),
-                _snap(self.z_nodes, Z[..., 0], "z"))
+        return _snap((self.x_nodes, self.y_nodes, self.z_nodes), (X, Y, Z), "xyz")
 
     def _kernel(self, X, Y, Z):
         return self.values[self._ijk(X, Y, Z)]
 
     def _grad(self, X, Y, Z):
         ijk = self._ijk(X, Y, Z)
-        return tuple(g[ijk][..., None] for g in (self._gx, self._gy, self._gz))
+        return tuple(g[ijk][..., None] for g in self._first)
 
     def _hess(self, X, Y, Z):
         ijk = self._ijk(X, Y, Z)
-        return tuple(g[ijk][..., None, None]
-                     for g in (self._gxy, self._gxz, self._gyz))
+        return tuple(g[ijk][..., None, None] for g in self._mixed)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "values": self.values.tolist(),
@@ -748,6 +717,26 @@ def _nodes_of(obj) -> np.ndarray:
     if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
         raise ValidationError("grid nodes must be strictly increasing")
     return nodes
+
+
+def _table(values, nodes) -> tuple:
+    """(values, nodes, first differences along each axis, mixed differences
+    for each pair of axes a < b) of a table over strictly increasing 1-D node
+    grids, one per axis.  Differences are central inside the grid and
+    one-sided on the boundary, with the node spacing as the step."""
+    nodes = tuple(_nodes_of(n) for n in nodes)
+    values = np.asarray(values, dtype=float)
+    want = tuple(n.size for n in nodes)
+    if values.shape != want:
+        raise ShapeMismatch(f"value grid {values.shape}, nodes want {want}")
+
+    def diff(v, axis):  # zero along an axis of one node
+        return (np.gradient(v, nodes[axis], axis=axis) if v.shape[axis] > 1
+                else np.zeros_like(v))
+
+    first = [diff(values, a) for a in range(len(nodes))]
+    mixed = [diff(first[a], b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
+    return values, nodes, first, mixed
 
 
 def surplus_from_dict(data: dict) -> SurplusModel:

@@ -36,6 +36,7 @@ from hedonic_match.surplus import (
     BilinearComponent,
     BilinearSurplus,
     StrictlyHedonicSurplus,
+    SurplusModel,
     surplus_from_dict,
 )
 
@@ -216,6 +217,33 @@ def test_diagnose_reads_the_surplus_grid_once(tmp_path, monkeypatch, family):
     assert sum(cells) <= nx * ny * nz + nz * (1 + candidates) + prices * support
 
 
+@pytest.mark.parametrize("route", [["--method", "direct_lp", "--z-points"], ["--alpha"]])
+def test_three_index_diagnose_evaluates_the_grid_once(tmp_path, monkeypatch, route):
+    # the LP's grid gives its reduction, so what is left is one z-column for
+    # the worst residual or, with W, verify_stability's own fold
+    inst = random_instance(0, n=12, nz=5, family="bilinear")
+    dump_json(inst.surplus.to_dict(), tmp_path / "surplus.json")
+    measure_to_csv(inst.mu, tmp_path / "mu.csv")
+    measure_to_csv(inst.nu, tmp_path / "nu.csv")
+    measure_to_csv(DiscreteMeasure.uniform(inst.z_points), tmp_path / "z.csv")
+    cells = []
+    value_grid = SurplusModel.value_grid
+
+    def counted(self, xs, ys, zs):
+        grid = value_grid(self, xs, ys, zs)
+        cells.append(grid.size)
+        return grid
+
+    monkeypatch.setattr(SurplusModel, "value_grid", counted)
+    code = main(["diagnose", "--surplus", str(tmp_path / "surplus.json"),
+                 "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                 *route, str(tmp_path / "z.csv"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    nz = inst.z_points.shape[0]
+    grid = inst.mu.size * inst.nu.size * nz
+    assert sum(cells) == (2 * grid if route == ["--alpha"] else grid + nz)
+
+
 def test_reduce_subcommand(tmp_path):
     s = BilinearSurplus(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[-1.0]])
     dump_json(s.to_dict(), tmp_path / "surplus.json")
@@ -267,6 +295,56 @@ def test_reproduce_with_parameter(capsys):
     assert main(["reproduce", "bilinear-tzss-family", "--a", "1.0"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("example_id", sorted(set(EXAMPLE_IDS) - {
+    "counterexample", "bilinear-tzss-family"}))
+def test_reproduce_refuses_a_parameter_the_run_ignores(example_id, capsys):
+    assert main(["reproduce", example_id, "--a", "0.3"]) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert "takes no a" in err
+    assert out == ""  # no check ran
+
+
+def _problem_files(tmp_path):
+    """Surplus, measure and alpha files of a small seeded market."""
+    inst = random_instance(0, n=6, nz=3, family="bilinear")
+    dump_json(inst.surplus.to_dict(), tmp_path / "surplus.json")
+    for name, measure in (("mu", inst.mu), ("nu", inst.nu),
+                          ("alpha", DiscreteMeasure.uniform(inst.z_points))):
+        measure_to_csv(measure, tmp_path / f"{name}.csv")
+    return {flag: str(tmp_path / f"{flag}.{ext}") for flag, ext in (
+        ("surplus", "json"), ("mu", "csv"), ("nu", "csv"), ("alpha", "csv"))}
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose", "brute-force"])
+@pytest.mark.parametrize("source, extra", [
+    ("seed", ["--alpha", "{alpha}"]), ("seed", ["--surplus", "{surplus}"]),
+    ("seed", ["--mu", "{mu}"]), ("seed", ["--nu", "{nu}"]),
+    ("seed", ["--z-grid", "0:1:3"]), ("seed", ["--z-points", "{alpha}"]),
+    ("files", ["--n", "5"]), ("files", ["--nz", "3"]), ("files", ["--family", "expcos"]),
+    ("alpha", ["--z-grid", "0:1:3"]), ("alpha", ["--z-points", "{alpha}"]),
+])
+def test_flags_the_input_source_ignores_are_refused(tmp_path, monkeypatch, capsys,
+                                                    command, source, extra):
+    files = _problem_files(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved with a flag that is ignored")
+
+    for name in ("solve_hybrid", "solve_tripartite_fixed_alpha", "brute_force",
+                 "random_instance", "_load_surplus"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = {"seed": ["--random-instance", "3"],
+            "files": ["--surplus", files["surplus"], "--mu", files["mu"],
+                      "--nu", files["nu"], "--z-grid", "0:1:3"],
+            "alpha": ["--surplus", files["surplus"], "--mu", files["mu"],
+                      "--nu", files["nu"], "--alpha", files["alpha"]]}[source]
+    flags = [arg.format(**files) for arg in extra]
+    out = tmp_path / "out"
+    assert main([command, *argv, *flags, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert f"{extra[0]} cannot be used" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_example_rejects_unknown_id():
     from hedonic_match.repro import run_example
     with pytest.raises(KeyError):
@@ -285,7 +363,8 @@ def test_missing_file_is_bad_input(tmp_path, capsys):
 def test_bad_grid_is_bad_input(tmp_path, capsys):
     code = main(["solve", "--random-instance", "1", "--out", str(tmp_path),
                  "--z-grid", "0:1"])
-    # the seeded instance ignores the grid; force the file path instead
+    # the seeded instance refuses any grid; the file path reads it
+    assert code == EXIT_BAD_INPUT
     s = BilinearSurplus(A=[[1.0]], B=[[0.0]], C=[[0.0]])
     dump_json(s.to_dict(), tmp_path / "surplus.json")
     mu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])

@@ -16,7 +16,6 @@ from hedonic_match.core import (
 from hedonic_match.diagnostics import (
     STABILITY_TOL,
     DegenerateCross,
-    InfeasibleV,
     NotSeparable,
     SizeMismatch,
     TooFewPoints,
@@ -143,7 +142,7 @@ def test_comonotone_plane_lift_is_pure(plane):
     assert rep.F_Z == {i: 8 for i in range(9)}
 
 
-def test_purity_threshold_ignores_dust():
+def test_purity_threshold_ignores_dust(monkeypatch):
     mu = DiscreteMeasure.uniform([[0.0], [1.0]])
     nu = DiscreteMeasure.uniform([[0.0], [1.0]])
     z = np.array([[0.0], [1.0]])
@@ -152,8 +151,9 @@ def test_purity_threshold_ignores_dust():
                (1, 1, 1, 0.5)]
     c = Coupling.from_entries(entries, mu, nu, z_points=z,
                               marginal_tol=1e-9)
-    assert not check_purity(c, mass_threshold=0.0).pure
-    assert check_purity(c).pure  # default threshold 1e-12 drops the dust
+    assert check_purity(c).pure  # the threshold 1e-12 drops the dust
+    monkeypatch.setattr(diagnostics, "MASS_THRESHOLD", 0.0)
+    assert not check_purity(c).pure
 
 
 def test_purity_needs_arity3():
@@ -449,14 +449,6 @@ def test_splitting_members_attain_slice_max(plane):
         assert sample.shift == delta.max()
         for (j, k) in sample.member_indices:
             assert delta[j, k] >= sample.shift - sample.tol
-
-
-def test_splitting_require_feasible(plane):
-    V_bad = 0.5 * plane.nu.points[:, 0] ** 2 - 1.0  # infeasible by 1
-    with pytest.raises(InfeasibleV):
-        sample_splitting_sets(plane.surplus, plane.mu.points, V_bad,
-                              plane.nu.points, plane.z_points,
-                              require_feasible=True)
 
 
 def test_splitting_V_length_check(plane):
@@ -1057,7 +1049,7 @@ def test_splitting_sets_from_the_reduction_match_the_full_grid(V):
         assert _members(samples) == members
 
 
-def test_splitting_members_exactly_at_tol():
+def test_splitting_members_exactly_at_tol(monkeypatch):
     # quarter steps over a range of 2, so tol = 1/4 of it is 0.5 exactly:
     # members sit at shift - 0.5, and the next value down is out
     values = np.random.default_rng(5).integers(0, 9, size=(5, 4, 3)) / 4.0
@@ -1070,7 +1062,8 @@ def test_splitting_members_exactly_at_tol():
     at_tol = delta == (np.array(shifts) - 0.5)[:, None, None]
     assert at_tol.any()
     assert {tuple(m) for m in np.argwhere(at_tol).tolist()} <= set(members)
-    samples, _ = sample_splitting_sets(s, X, V, Y, Z, tol=tol, reduced=res.reduction)
+    monkeypatch.setattr(diagnostics, "STABILITY_TOL", tol)
+    samples, _ = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
     assert samples[0].tol == 0.5
     assert _members(samples) == members
 

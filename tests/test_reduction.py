@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hedonic_match import surplus
-from hedonic_match.core import GridSpec, ValidationError, grid_scale
+from hedonic_match import reduction, surplus
+from hedonic_match.core import DiscreteMeasure, GridSpec, ValidationError, grid_scale
 from hedonic_match.instances import random_instance
 from hedonic_match.reduction import (
     TIE_TOL,
@@ -12,6 +14,7 @@ from hedonic_match.reduction import (
     reduce,
     reduced_to_csv,
 )
+from hedonic_match.solver import max_over_alpha, solve_hybrid, solve_tripartite_fixed_alpha
 from hedonic_match.surplus import (
     BilinearSurplus,
     CounterexampleSurplus,
@@ -60,7 +63,7 @@ def test_reduce_z_free_surplus_flags_all_ties():
     np.testing.assert_array_equal(red.values, np.outer(xs[:, 0], ys[:, 0]))
 
 
-def test_reduce_tie_tolerance():
+def test_reduce_tie_tolerance(monkeypatch):
     # values at the two z nodes differ by 1e-12 of the reduced values' range
     # (the seller at y = 1 spans it): a coarse tol calls it a tie, a fine one
     # picks the true max at index 1
@@ -68,9 +71,11 @@ def test_reduce_tie_tolerance():
     xs = np.array([[1.0]])
     ys = np.array([[1e-12], [1.0]])
     zs = np.array([[0.0], [1.0]])
-    loose = reduce(s, xs, ys, zs, tie_tol=1e-10)
+    monkeypatch.setattr(reduction, "TIE_TOL", 1e-10)
+    loose = reduce(s, xs, ys, zs)
     assert loose.tie[0, 0]
-    tight = reduce(s, xs, ys, zs, tie_tol=1e-14)
+    monkeypatch.setattr(reduction, "TIE_TOL", 1e-14)
+    tight = reduce(s, xs, ys, zs)
     assert not tight.tie[0, 0]
     assert tight.argmax[0, 0] == 1
 
@@ -247,3 +252,29 @@ def test_blocked_c_transforms_match_the_full_grid(monkeypatch, market, rows):
             == np.max(grid - V[None, :, None], axis=(1, 2)).tobytes())
     assert (c_transform_U(s, U, xs, ys, zs).tobytes()
             == np.max(grid - U[:, None, None], axis=(0, 2)).tobytes())
+
+
+def _fields(red):
+    """Every field of a reduction as (dtype, shape, bytes)."""
+    return {f.name: (a.dtype, a.shape, a.tobytes())
+            for f in dataclasses.fields(red)
+            for a in [np.asarray(getattr(red, f.name))]}
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("market", ["integer-table", "bilinear", "duplicate-z", "nz=1"])
+def test_every_solve_carries_reduce_bit_for_bit(monkeypatch, market, rows):
+    # the three-index LPs fold the full grid they price; reduce folds blocks
+    # of value_grid rows
+    s, xs, ys, zs = _blocked_markets()[market]
+    mu, nu = DiscreteMeasure.uniform(xs), DiscreteMeasure.uniform(ys)
+    _block_rows(monkeypatch, rows, ys, zs)
+    want = _fields(reduce(s, xs, ys, zs))
+    solves = [solve_hybrid(s, mu, nu, zs, method="reduce_lift"),
+              solve_hybrid(s, mu, nu, zs, method="direct_lp")]
+    if market != "duplicate-z":  # a measure over goods needs distinct points
+        search = max_over_alpha(s, mu, nu, zs)
+        solves += [solve_tripartite_fixed_alpha(s, mu, nu, DiscreteMeasure.uniform(zs)),
+                   search.result, search.fixed_alpha_result]
+    for res in solves:
+        assert _fields(res.reduction) == want, res.method

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hedonic_match import surplus
-from hedonic_match.core import Coupling, DiscreteMeasure
+from hedonic_match.core import Coupling, DimensionMismatch, DiscreteMeasure, ValidationError
 from hedonic_match.diagnostics import (
     check_tss_bilinear,
     check_tzss_bilinear,
@@ -394,6 +394,31 @@ def test_tabulated_component_gradients_on_linear_table():
     assert c.grad_p([0.5], [0.25])[0] == pytest.approx(0.25, abs=1e-12)
     assert c.grad_z([1.0], [0.5])[0] == pytest.approx(1.0, abs=1e-12)
     assert c.hess_pz([0.5], [0.25])[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [[0.0, 1.0]])])
+def test_both_tabulated_forms_read_nodes_alike(nodes):
+    # NaN nodes passed the component's increasing check; the surplus read
+    # them (and a 2-D node list) through one rule
+    table = [[0.0, 1.0], [1.0, 2.0]]
+    with pytest.raises(ValidationError):
+        TabulatedComponent(table, *nodes)
+    with pytest.raises(ValidationError):
+        TabulatedSurplus(np.array(table)[:, :, None], *nodes, [0.0])
+
+
+@pytest.mark.parametrize("method", ["value", "grad_p", "grad_z", "hess_pz"])
+@pytest.mark.parametrize("component", [BilinearComponent([[1.0]]),
+                                       BilinearComponent([[1.0, 0.5]]),
+                                       TabulatedComponent([[0.0, 1.0]], [0.5], [0.2, 0.4])])
+def test_component_points_are_checked_against_dims(component, method):
+    dp, dz = component.dims
+    p, z = [0.5] * dp, [0.2] * dz
+    fn = getattr(component, method)
+    fn(p, z)
+    for bad_p, bad_z in ((p + [0.7], z), (p, z + [0.7]), ([], z)):
+        with pytest.raises(DimensionMismatch):
+            fn(bad_p, bad_z)
 
 
 # --- linear algebra kernels -------------------------------------------------
