@@ -9,8 +9,8 @@ compare genuinely different code paths:
   only), used by the reduce-then-lift route;
 - a revised simplex over the cells (i, j, k) of the surplus grid (Dantzig
   pricing over the grid, Bland's rule after a run of degenerate pivots, B⁻¹
-  by rank-one updates, a feasible start and no phase 1), used by the direct
-  three-index LPs.
+  formed only once a pivot needs it and then updated by rank one, a feasible
+  start and no phase 1), used by the direct three-index LPs.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
 support-based diagnostics stay meaningful.  Every solve of a surplus model
@@ -325,48 +325,57 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResu
 # every X row, Y rows 0..ny-2 and, with a prescribed alpha, Z rows 0..nz-2
 # (the last ones follow from the total mass).  No column is ever stored.
 
-def _cell_rows(t: int, shape: tuple, fixed: bool) -> list[int]:
-    """The constraint rows of flat cell t."""
+def _cell_rows(cells, shape: tuple, fixed: bool) -> list[tuple]:
+    """The X, Y and Z rows of flat cells, each as (row, whether the cell has
+    it); cells is one int or an int array, read elementwise."""
     nx, ny, nz = shape
-    i, rest = divmod(t, ny * nz)
+    i, rest = divmod(cells, ny * nz)
     j, k = divmod(rest, nz)
-    rows = [i]
-    if j < ny - 1:
-        rows.append(nx + j)
-    if fixed and k < nz - 1:
-        rows.append(nx + ny - 1 + k)
-    return rows
+    return [(i, i >= 0), (nx + j, j < ny - 1), (nx + ny - 1 + k, (k < nz - 1) & fixed)]
+
+
+def _basis_matrix(basis: np.ndarray, shape: tuple, fixed: bool) -> np.ndarray:
+    """B, whose column r holds the ones of cell basis[r]'s rows."""
+    B = np.zeros((basis.size, basis.size))
+    col = np.arange(basis.size)
+    for row, on in _cell_rows(basis, shape, fixed):
+        B[row[on], col[on]] = 1.0
+    return B
 
 
 def _cell_simplex(grid: np.ndarray, rhs: np.ndarray, basis: list[int],
                   fixed: bool, scale: float):
     """Primal revised simplex over the cells of grid (maximization), from a
-    feasible basis of one cell per row (m rows), which it updates in place.
+    feasible basis of one cell per row (m rows).
 
     Prices every cell in one pass of grid − U − V (− W) into a reused buffer,
     basic cells masked.  Enters the largest reduced cost (first flat index on
     ties), or after DEGEN_RUN·m degenerate pivots in a row the first cell
     that prices out (Bland) until mass moves, so it cannot cycle.  Leaves the
-    smallest ratio, the smallest cell on ties.  B⁻¹ is updated by rank one
-    and refactorised every REFACTOR_EVERY pivots and before stopping.
-    Tolerances on reduced costs are fractions of scale, the grid's range.
+    smallest ratio, the smallest cell on ties.  A factorisation solves B for
+    the basic masses and Bᵀ for the duals; B⁻¹ = inv(B) is formed at the
+    first pivot after it, so a solve that makes no pivot forms none, and is
+    then updated by rank one.  B is refactorised every REFACTOR_EVERY
+    pivots, before stopping, and in place of a pivot on an element at most
+    RATIO_TOL times the entering column's largest: that is rounding drift of
+    the updated B⁻¹, and a pivot on it can leave B singular.  Tolerances on
+    reduced costs are fractions of scale, the grid's range.
 
     Returns (x, y, iterations, degenerate_flag): every cell's mass, flat, in
     the pricing buffer, and the row duals.
     """
     nx, ny, _ = grid.shape
     flat = grid.reshape(-1)
-    m = len(basis)
+    basis = np.array(basis)
+    m = basis.size
     enter_tol = ENTER_TOL * scale
 
     def factor():
-        B = np.zeros((m, m))
-        for r, t in enumerate(basis):
-            B[_cell_rows(t, grid.shape, fixed), r] = 1.0
-        return (np.linalg.inv(B), np.linalg.solve(B, rhs),
-                np.linalg.solve(B.T, flat[basis]))
+        B = _basis_matrix(basis, grid.shape, fixed)
+        return B, np.linalg.solve(B, rhs), np.linalg.solve(B.T, flat[basis])
 
-    Binv, xB, y = factor()
+    B, xB, y = factor()
+    Binv = None  # np.linalg.inv(B), formed when a pivot first needs it
     assert xB.min() >= -MASS_CLAMP, "start is not feasible"
 
     iterations = since_factor = degenerate_run = 0
@@ -386,21 +395,28 @@ def _cell_simplex(grid: np.ndarray, rhs: np.ndarray, basis: list[int],
         if red_flat[t] <= enter_tol:
             if since_factor == 0:
                 break
-            Binv, xB, y = factor()
-            since_factor = 0
+            (B, xB, y), Binv, since_factor = factor(), None, 0
             continue
-        iterations += 1
-        if iterations > max_iter:
-            raise PivotBudgetExceeded("three-index simplex exceeded its pivot budget")
 
-        d = Binv[:, _cell_rows(t, grid.shape, fixed)].sum(axis=1)
+        if Binv is None:
+            Binv = np.linalg.inv(B)
+        rows = [row for row, on in _cell_rows(t, grid.shape, fixed) if on]
+        d = Binv[:, rows].sum(axis=1)
         pos = np.flatnonzero(d > RATIO_TOL)
         if pos.size == 0:
             raise RuntimeError("LP appears unbounded; a basis column is broken")
         ratios = xB[pos] / d[pos]
         theta = max(float(ratios.min()), 0.0)
         ties = pos[ratios <= theta + 1e-12 * (1.0 + theta)]
-        r = int(ties[np.argmin(np.array(basis)[ties])])
+        r = int(ties[np.argmin(basis[ties])])
+        if since_factor and d[r] <= RATIO_TOL * float(np.abs(d).max()):
+            # rounding drift of the updated B⁻¹, not a pivot element
+            (B, xB, y), Binv, since_factor = factor(), None, 0
+            continue
+        iterations += 1
+        if iterations > max_iter:
+            raise PivotBudgetExceeded("three-index simplex exceeded its pivot budget")
+
         xB -= theta * d
         xB[r] = theta
         pivot_row = Binv[r] / d[r]
@@ -411,8 +427,7 @@ def _cell_simplex(grid: np.ndarray, rhs: np.ndarray, basis: list[int],
         degenerate_run = degenerate_run + 1 if theta <= RATIO_TOL else 0
         since_factor += 1
         if since_factor == REFACTOR_EVERY:
-            Binv, xB, y = factor()
-            since_factor = 0
+            (B, xB, y), Binv, since_factor = factor(), None, 0
 
     degenerate = bool(red.max() >= -DEGEN_TOL * scale)
     if float(xB.min()) < -MASS_CLAMP:

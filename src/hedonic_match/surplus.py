@@ -58,6 +58,15 @@ class SingularBlock(RuntimeError):
     """A matrix block failed the relative singularity threshold."""
 
 
+def _coefs(value, label: str) -> np.ndarray:
+    """Coefficients as a float array; ValidationError unless all are finite,
+    since a grid evaluated from them could hold no finite surplus."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"surplus coefficient {label} must be finite")
+    return arr
+
+
 # --- polynomial terms ------------------------------------------------------
 
 def _canon_poly(coeffs, dim: int, label: str) -> list[np.ndarray]:
@@ -75,7 +84,7 @@ def _canon_poly(coeffs, dim: int, label: str) -> list[np.ndarray]:
         raise ShapeMismatch(f"{label}: expected {dim} coefficient lists, got {len(arr)}")
     out = []
     for comp in arr:
-        c = np.asarray(comp, dtype=float).reshape(-1)
+        c = _coefs(comp, label).reshape(-1)
         if c.size == 0:
             c = np.zeros(1)
         out.append(c)
@@ -304,9 +313,9 @@ class BilinearSurplus(SurplusModel):
     family = "bilinear"
 
     def __init__(self, A, B, C, D=None, f=None, g=None, h=None):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(C, dtype=float))
+        self.A = np.atleast_2d(_coefs(A, "A"))
+        self.B = np.atleast_2d(_coefs(B, "B"))
+        self.C = np.atleast_2d(_coefs(C, "C"))
         nx, ny = self.A.shape
         if self.B.shape[0] != nx:
             raise ShapeMismatch(f"B has {self.B.shape[0]} rows, A has {nx}")
@@ -314,7 +323,7 @@ class BilinearSurplus(SurplusModel):
         if self.C.shape != (ny, nz):
             raise ShapeMismatch(f"C shape {self.C.shape}, expected ({ny}, {nz})")
         self.D = (np.zeros((nz, nz)) if D is None
-                  else np.atleast_2d(np.asarray(D, dtype=float)))
+                  else np.atleast_2d(_coefs(D, "D")))
         if self.D.shape != (nz, nz):
             raise ShapeMismatch(f"D shape {self.D.shape}, expected ({nz}, {nz})")
         self._dims = (nx, ny, nz)
@@ -367,7 +376,7 @@ class CounterexampleSurplus(SurplusModel):
     family = "counterexample"
 
     def __init__(self, a: float = 0.5):
-        self.a = float(a)
+        self.a = float(_coefs(a, "a"))
 
     @property
     def dims(self):
@@ -477,7 +486,7 @@ class Supermodular1DSurplus(SurplusModel):
         if len(exps) != 3 or any(int(e) != e or e < 0 for e in exps):
             raise ValidationError(f"exponents must be three ints >= 0, got {exponents}")
         self.exponents = tuple(int(e) for e in exps)
-        self.scale = float(scale)
+        self.scale = float(_coefs(scale, "scale"))
 
     @property
     def dims(self):
@@ -551,10 +560,10 @@ class BilinearComponent(_Component):
     kind = "bilinear"
 
     def __init__(self, M, f=None, h=None, Dz=None):
-        self.M = np.atleast_2d(np.asarray(M, dtype=float))
+        self.M = np.atleast_2d(_coefs(M, "M"))
         dp, dz = self.M.shape
         self.Dz = (np.zeros((dz, dz)) if Dz is None
-                   else np.atleast_2d(np.asarray(Dz, dtype=float)))
+                   else np.atleast_2d(_coefs(Dz, "Dz")))
         if self.Dz.shape != (dz, dz):
             raise ShapeMismatch(f"Dz shape {self.Dz.shape}, expected ({dz}, {dz})")
         self.f = _canon_poly(f, dp, "f")

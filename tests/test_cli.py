@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,37 @@ def test_non_finite_surplus_is_bad_input_on_three_index_routes(tmp_path, route, 
                  "--out", str(tmp_path)])
     assert code == EXIT_BAD_INPUT
     assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_coefficient_is_refused_without_warnings(tmp_path, capsys):
+    # inf·0 in the grid printed two numpy RuntimeWarnings before the refusal
+    (tmp_path / "surplus.json").write_text(
+        '{"family": "bilinear", "A": [[Infinity]], "B": [[0.0]], "C": [[0.0]]}\n')
+    measure_to_csv(DiscreteMeasure([[0.0], [0.5], [1.0]], [0.25, 0.25, 0.5]),
+                   tmp_path / "mu.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--method", "direct_lp", "--z-grid", "0:1:3",
+                     "--surplus", str(tmp_path / "surplus.json"),
+                     "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "mu.csv"),
+                     "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "finite" in err and "Warning" not in err
+
+
+def test_fixed_alpha_solve_survives_a_drifting_pivot_element(tmp_path):
+    # exited 2 with "error: Singular matrix" from a refactorisation
+    inst = random_instance(13, n=18, nz=18, family="counterexample")
+    dump_json(inst.surplus.to_dict(), tmp_path / "surplus.json")
+    for name, m in (("mu", inst.mu), ("nu", inst.nu),
+                    ("alpha", DiscreteMeasure.uniform(inst.z_points))):
+        measure_to_csv(m, tmp_path / f"{name}.csv")
+    code = main(["solve", "--surplus", str(tmp_path / "surplus.json"),
+                 "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                 "--alpha", str(tmp_path / "alpha.csv"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert load_json(tmp_path / "solve_result.json")["method"] == "tripartite_fixed_alpha"
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

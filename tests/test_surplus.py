@@ -396,6 +396,24 @@ def test_tabulated_component_gradients_on_linear_table():
     assert c.hess_pz([0.5], [0.25])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("build", [
+    lambda v: BilinearSurplus(A=[[v]], B=[[0.0]], C=[[0.0]]),
+    lambda v: BilinearSurplus(A=[[0.0]], B=[[0.0]], C=[[0.0]], D=[[v]]),
+    lambda v: BilinearSurplus(A=[[0.0]], B=[[0.0]], C=[[0.0]], g=[0.0, v]),
+    lambda v: CounterexampleSurplus(a=v),
+    lambda v: Supermodular1DSurplus(scale=v),
+    lambda v: BilinearComponent([[v]]),
+    lambda v: BilinearComponent([[1.0]], Dz=[[v]]),
+    lambda v: BilinearComponent([[1.0]], h=[v]),
+], ids=["A", "D", "g", "a", "scale", "M", "Dz", "h"])
+def test_non_finite_coefficients_are_refused(build, bad):
+    # inf·0 in a grid evaluation gave NaN cells and numpy warnings before
+    # the grid check refused them
+    with pytest.raises(ValidationError, match="finite"):
+        build(bad)
+
+
 @pytest.mark.parametrize("nodes", [([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [[0.0, 1.0]])])
 def test_both_tabulated_forms_read_nodes_alike(nodes):
     # NaN nodes passed the component's increasing check; the surplus read

@@ -336,3 +336,76 @@ def test_too_large_lp_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_fixed_alpha_refactorises_on_a_drifting_pivot_element():
+    # the ratio test took an entry of 2e-11 beside others of 201, rounding
+    # drift of the updated B⁻¹, and the next refactorisation found B singular
+    inst = random_instance(13, n=18, nz=18, family="counterexample")
+    alpha = DiscreteMeasure.uniform(inst.z_points)
+    grid = _grid(inst)
+    span = float(np.ptp(grid))
+    res = solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu, alpha)
+    optimum = _highs(grid, inst.mu.weights, inst.nu.weights, alpha.weights)
+    assert abs(res.objective - optimum) <= 1e-9 * span
+    assert _dual_infeasibility(grid, res) <= 1e-9 * span
+    np.testing.assert_allclose(res.coupling.marginal_weights("z"),
+                               alpha.weights, rtol=0, atol=1e-12)
+
+
+def _count_factorisations(monkeypatch) -> dict:
+    """Count np.linalg.inv and np.linalg.solve calls; every factorisation
+    of the three-index simplex makes two solves."""
+    calls = {"inv": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_a_solve_without_pivots_forms_no_inverse(monkeypatch):
+    # s falls with z and is supermodular in (x, y): the warm start, each
+    # pair at its best good in sorted order, is optimal
+    s = BilinearSurplus([[1.0]], [[-1.0]], [[-1.0]], D=[[-0.5]], h=[0.0, -0.5])
+    pts = np.linspace(0.0, 1.0, 15)[:, None]
+    calls = _count_factorisations(monkeypatch)
+    res = solve_hybrid(s, DiscreteMeasure.uniform(pts), DiscreteMeasure.uniform(pts ** 2),
+                       np.linspace(0.0, 1.0, 7)[:, None], method="direct_lp")
+    assert res.iterations == 0
+    assert calls == {"inv": 0, "solve": 2}
+
+
+def test_each_factorisation_a_pivot_follows_forms_one_inverse(monkeypatch):
+    inst = random_instance(0, n=12, nz=6, family="counterexample")
+    alpha = DiscreteMeasure.uniform(inst.z_points)
+    calls = _count_factorisations(monkeypatch)
+    res = solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu, alpha)
+    assert res.iterations > solver.REFACTOR_EVERY
+    # the start, one every REFACTOR_EVERY pivots and the stop-time one,
+    # which no pivot follows
+    factorisations = calls["solve"] // 2
+    assert calls["solve"] == 2 * factorisations
+    assert calls["inv"] == factorisations - 1 == -(-res.iterations // solver.REFACTOR_EVERY)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_basis_matrix_follows_the_cell_rule(fixed):
+    shape = nx, ny, nz = (4, 5, 3)
+    m = nx + ny - 1 + (nz - 1 if fixed else 0)
+    rng = np.random.default_rng(7)
+    last = [(nx - 1) * ny * nz + ny * nz - 1, ny * nz - 1, (ny - 1) * nz, nz - 1]
+    for trial in range(20):
+        rest = rng.choice(np.setdiff1d(np.arange(nx * ny * nz), last), m - len(last),
+                          replace=False)
+        basis = rng.permutation(np.concatenate([last, rest]))
+        want = np.zeros((m, m))
+        for r, t in enumerate(basis.tolist()):
+            i, j, k = np.unravel_index(t, shape)
+            rows = [i] + ([nx + j] if j < ny - 1 else [])
+            rows += [nx + ny - 1 + k] if fixed and k < nz - 1 else []
+            want[rows, r] = 1.0
+            # the entering column's lookup reads the same rows, X, Y, Z order
+            assert [row for row, on in solver._cell_rows(t, shape, fixed) if on] == rows
+        np.testing.assert_array_equal(solver._basis_matrix(basis, shape, fixed), want)
