@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Coupling, DualPotentials, ValidationError, as_point_array, grid_scale
-from .reduction import reduce
+from .reduction import _residual_fold, reduce
 from .surplus import (
     MissingUV,
     SingularBlock,
@@ -107,7 +107,8 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     reduction as reduced, or it is computed here.  ReducedSurplus.residual
     gives the largest residual of each pair's z-column, so the report is the
     full grid's bit for bit.  With W the grid is folded one block of x rows
-    at a time and reduced is not used.
+    at a time by _residual_fold, the three-index LPs' pricing pass, and
+    reduced is not used.
     """
     U, V = potentials.U, potentials.V
     if U.size != coupling.mu.size or V.size != coupling.nu.size:
@@ -125,24 +126,10 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
             W = np.asarray(z_potential, dtype=float).reshape(-1)
             if W.size != Z.shape[0]:
                 raise SizeMismatch(f"W has {W.size} entries for {Z.shape[0]} goods")
-            support_res = np.empty(I.size)
-            extremes, peaks = [], []
-            # fold each block of x rows: extremes of s, the first argmax of
-            # the residual and the residuals of the support triples in those rows
-            for lo, residual in s._grid_blocks(X, Y, Z):
-                extremes.append((residual.min(), residual.max()))
-                residual -= U[lo:lo + residual.shape[0], None, None]
-                residual -= V[None, :, None]
-                residual -= W[None, None, :]
-                flat = int(np.argmax(residual))
-                peaks.append((residual.flat[flat], lo, flat, residual.shape))
-                rows = (I >= lo) & (I < lo + residual.shape[0])
-                support_res[rows] = residual[I[rows] - lo, J[rows], K[rows]]
-            scale = grid_scale(np.array(extremes))
-            # np.argmax keeps the first of equal block maxima, and the first NaN
-            max_grid, lo, flat, shape = peaks[int(np.argmax([p[0] for p in peaks]))]
-            bi, wj, wk = np.unravel_index(flat, shape)
-            wi = lo + bi
+            found = _residual_fold(s, X, Y, Z, U, V, W)
+            scale = grid_scale(np.array([found.lowest, found.highest]))
+            max_grid = found.peak
+            wi, wj, wk = np.unravel_index(found.cell, (X.shape[0], Y.shape[0], Z.shape[0]))
         else:
             red = _reduction_for(s, X, Y, Z, reduced)
             scale = red.grid_scale
@@ -155,9 +142,11 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
             column -= V[wj]
             wk = int(np.argmax(column))
             max_grid = column[wk]
-            support_res = s.value_batch(X[I], Y[J], Z[K])
-            support_res -= U[I]
-            support_res -= V[J]
+        support_res = s.value_batch(X[I], Y[J], Z[K])
+        support_res -= U[I]
+        support_res -= V[J]
+        if z_potential is not None:
+            support_res -= W[K]
         worst = {
             "indices": [int(wi), int(wj), int(wk)],
             "x": X[wi].tolist(),

@@ -5,7 +5,8 @@ The two-step route to the hybrid problem: collapse z by maximizing,
 remember which z attained it, then match buyers to sellers on sbar.  _fold
 is the package's one fold of the surplus grid over goods, one block of x
 rows at a time (SurplusModel._grid_blocks): reduce holds no more than a
-block, and the three-index LPs keep each block in the grid they price.  The
+block, and the three-index LPs price their working sets from it or from
+_residual_fold, the one pass of s − U ⊕ V ⊕ W over the grid.  The
 c-transforms are maxima of the reduction's residual.
 """
 
@@ -31,6 +32,8 @@ class ReducedSurplus:
 
     values[i, j]   = max_k s(x_i, y_j, z_k), taken verbatim from the grid scan
     argmax[i, j]   = smallest k attaining the max
+    second[i, j]   = the largest value once that k is struck out, -inf when
+                     there is one good
     tie[i, j]      = another k comes within tie_tol (absolute) of the max
     boundary[i, j] = the argmax z sits on the bounding box of the Z set
     lowest         = min_{i,j,k} s(x_i, y_j, z_k), the other end of the grid
@@ -38,6 +41,7 @@ class ReducedSurplus:
 
     values: np.ndarray
     argmax: np.ndarray
+    second: np.ndarray
     tie: np.ndarray
     boundary: np.ndarray
     z_points: np.ndarray
@@ -71,6 +75,21 @@ class ReducedSurplus:
         out -= V[None, :]
         return out
 
+    def c_transform_V(self, V) -> np.ndarray:
+        """Buyer payoffs from seller payoffs: U(x) = max_{y,z} s(x,y,z) - V(y).
+
+        The pair (output, V) is dual-feasible on the grid by construction,
+        with equality where the max is attained.  Row maxima of the
+        residual, bit for bit those of s - V over the grid.
+        """
+        V = _payoffs(V, self.shape[1], "V", "y")
+        return self.residual(np.zeros(self.shape[0]), V).max(axis=1)
+
+    def c_transform_U(self, U) -> np.ndarray:
+        """Seller payoffs from buyer payoffs: V(y) = max_{x,z} s(x,y,z) - U(x)."""
+        U = _payoffs(U, self.shape[0], "U", "x")
+        return self.residual(U, np.zeros(self.shape[1])).max(axis=0)
+
     def to_dict(self) -> dict:
         return {
             "values": self.values.tolist(),
@@ -93,8 +112,7 @@ def _fold(blocks, shape: tuple[int, int], Z: np.ndarray) -> ReducedSurplus:
     that cover the x rows of the grid; each block is overwritten."""
     best = np.empty(shape, dtype=np.intp)
     values = np.empty(shape)
-    # the largest value once the argmax is struck out, -inf when nz = 1: a
-    # second index comes within tie_tol exactly when this one does
+    # a second index comes within tie_tol exactly when the runner-up does
     second = np.empty(shape)
     lows = []
     for lo, grid in blocks:
@@ -111,8 +129,9 @@ def _fold(blocks, shape: tuple[int, int], Z: np.ndarray) -> ReducedSurplus:
     hi = Z.max(axis=0)
     sel = Z[best]
     on_box = np.any((sel == lo) | (sel == hi), axis=2)
-    return ReducedSurplus(values=values, argmax=best, tie=tie, boundary=on_box,
-                          z_points=Z, lowest=float(np.min(lows)), tie_tol=tie_tol)
+    return ReducedSurplus(values=values, argmax=best, second=second, tie=tie,
+                          boundary=on_box, z_points=Z, lowest=float(np.min(lows)),
+                          tie_tol=tie_tol)
 
 
 def reduce(s, xs, ys, zs) -> ReducedSurplus:
@@ -130,6 +149,64 @@ def reduce(s, xs, ys, zs) -> ReducedSurplus:
     return _fold(s._grid_blocks(X, Y, Z), (X.shape[0], Y.shape[0]), Z)
 
 
+@dataclass(frozen=True, eq=False)
+class ResidualPass:
+    """What one pass of s − U ⊕ V ⊕ W over the grid found (_residual_fold).
+
+    peak, cell     = the largest residual off the masked cells (or the first
+                     NaN) and its first flat cell
+    lowest, highest = the extremes of s over the grid
+    cells, values  = the flat cells whose residual exceeds the floor, the
+                     `most` largest of them, in ascending order, and s there
+    """
+
+    peak: float
+    cell: int
+    lowest: float
+    highest: float
+    cells: np.ndarray
+    values: np.ndarray
+
+
+def _residual_fold(s, X, Y, Z, U, V, W, floor: float = np.inf,
+                   masked=(), most: float = np.inf) -> ResidualPass:
+    """One pass over s._grid_blocks of the residual s − U − V − W, subtracted
+    in that order, one block of x rows at a time; the flat cells in masked
+    read -inf.  The blocks are bit for bit the rows of the full grid, and so
+    is each residual.  Of the cells above floor it keeps the `most` of
+    largest residual (which of equal ones is not specified), so that it
+    holds no more than those and one block."""
+    per_row = Y.shape[0] * Z.shape[0]
+    masked = np.sort(np.asarray(masked, dtype=np.intp))
+    peaks, lows, highs = [], [], []
+    cells, values, above = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+    for lo, block in s._grid_blocks(X, Y, Z):
+        first = lo * per_row
+        lows.append(block.min())
+        highs.append(block.max())
+        res = block - U[lo:lo + block.shape[0], None, None]
+        res -= V[None, :, None]
+        res -= W
+        res = res.reshape(-1)
+        a, b = np.searchsorted(masked, (first, first + res.size))
+        res[masked[a:b] - first] = -np.inf
+        hit = np.flatnonzero(res > floor)
+        cells = np.concatenate([cells, first + hit])
+        values = np.concatenate([values, block.reshape(-1)[hit]])
+        above = np.concatenate([above, res[hit]])
+        if above.size > most:
+            keep = np.argpartition(above, above.size - most)[above.size - most:]
+            cells, values, above = cells[keep], values[keep], above[keep]
+        t = int(np.argmax(res))
+        peaks.append((res[t], first + t))
+    # np.argmax keeps the first of equal block maxima, and the first NaN
+    peak, cell = peaks[int(np.argmax([p[0] for p in peaks]))]
+    order = np.argsort(cells)
+    return ResidualPass(peak=float(peak), cell=cell, lowest=float(np.min(lows)),
+                        highest=float(np.max(highs)), cells=cells[order],
+                        values=values[order])
+
+
 def _payoffs(P, n: int, label: str, axis: str) -> np.ndarray:
     P = np.asarray(P, dtype=float).reshape(-1)
     if P.shape[0] != n:
@@ -140,22 +217,13 @@ def _payoffs(P, n: int, label: str, axis: str) -> np.ndarray:
 
 
 def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
-    """Buyer payoffs from seller payoffs: U(x) = max_{y,z} s(x,y,z) - V(y).
-
-    The pair (output, V) is dual-feasible on the grid by construction, with
-    equality where the max is attained.  Row maxima of the reduction's
-    residual, bit for bit those of s - V over the grid.
-    """
-    V = _payoffs(V, _require_points(ys, "Y").shape[0], "V", "y")
-    red = reduce(s, xs, ys, zs)
-    return red.residual(np.zeros(red.shape[0]), V).max(axis=1)
+    """ReducedSurplus.c_transform_V of reduce(s, xs, ys, zs)."""
+    return reduce(s, xs, ys, zs).c_transform_V(V)
 
 
 def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
-    """Seller payoffs from buyer payoffs: V(y) = max_{x,z} s(x,y,z) - U(x)."""
-    U = _payoffs(U, _require_points(xs, "X").shape[0], "U", "x")
-    red = reduce(s, xs, ys, zs)
-    return red.residual(U, np.zeros(red.shape[1])).max(axis=0)
+    """ReducedSurplus.c_transform_U of reduce(s, xs, ys, zs)."""
+    return reduce(s, xs, ys, zs).c_transform_U(U)
 
 
 def reduced_to_csv(reduced: ReducedSurplus, path) -> None:

@@ -7,10 +7,13 @@ compare genuinely different code paths:
   (northwest-corner start, largest-reduced-cost entering cell, Cunningham's
   strongly feasible leaving rule, potentials updated on the re-hung subtree
   only), used by the reduce-then-lift route;
-- a revised simplex over the cells (i, j, k) of the surplus grid (Dantzig
-  pricing over the grid, Bland's rule after a run of degenerate pivots, B⁻¹
-  formed only once a pivot needs it and then updated by rank one, a feasible
-  start and no phase 1), used by the direct three-index LPs.
+- column generation for the direct three-index LPs: a revised simplex over
+  a working set of cells (Dantzig pricing over the set, the largest pivot
+  element on ratio ties, Bland's rule after a run of degenerate pivots, B⁻¹
+  formed only once a pivot needs it and then kept in product form, a
+  feasible start and no phase 1), grown by passes that price the whole grid
+  until one adds no cell.  No grid is held: with z free a pass reads the
+  solve's reduction, with alpha fixed it folds s − U ⊕ V ⊕ W block by block.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
 support-based diagnostics stay meaningful.  Every solve of a surplus model
@@ -21,6 +24,7 @@ fixed-alpha LP from the reduce_lift duals and that reduction alone.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -36,7 +40,7 @@ from .core import (
     as_point_array,
     project,
 )
-from .reduction import ReducedSurplus, _fold, reduce
+from .reduction import ReducedSurplus, _residual_fold, reduce
 
 # ENTER_TOL and DEGEN_TOL are fractions of the reward range; RATIO_TOL and
 # MASS_CLAMP are on the unit-mass scale.
@@ -49,6 +53,11 @@ MASS_CLAMP = 1e-9
 DEGEN_RUN = 20
 REFACTOR_EVERY = 50
 LP_BYTES_LIMIT = 1 << 30
+# fixed alpha: the start's working set holds every cell within SEED_BAND of
+# the range of tight under the reduce_lift duals, and a pricing pass adds at
+# most the PRICE_CAP·m cells (m rows) that price out most
+SEED_BAND = 0.01
+PRICE_CAP = 16
 DRIFT_TOL = 1e-9  # max_over_alpha's largest residual or gap, a fraction of the range
 
 
@@ -319,11 +328,12 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResu
     )
 
 
-# --- implicit-column simplex (three-index) ----------------------------------
+# --- column generation (three-index) ----------------------------------------
 #
 # Columns are the cells (i, j, k), flat index (i * ny + j) * nz + k.  Rows are
 # every X row, Y rows 0..ny-2 and, with a prescribed alpha, Z rows 0..nz-2
-# (the last ones follow from the total mass).  No column is ever stored.
+# (the last ones follow from the total mass).  No column is ever stored, and
+# only the cells of the working set are priced on each pivot.
 
 def _cell_rows(cells, shape: tuple, fixed: bool) -> list[tuple]:
     """The X, Y and Z rows of flat cells, each as (row, whether the cell has
@@ -343,75 +353,114 @@ def _basis_matrix(basis: np.ndarray, shape: tuple, fixed: bool) -> np.ndarray:
     return B
 
 
-def _cell_simplex(grid: np.ndarray, rhs: np.ndarray, basis: list[int],
-                  fixed: bool, scale: float):
-    """Primal revised simplex over the cells of grid (maximization), from a
-    feasible basis of one cell per row (m rows).
+def _duals(y: np.ndarray, nx: int, ny: int, fixed: bool):
+    """U, V and W (None with z free) from the row duals; the last Y and Z
+    rows are dropped, so their duals are 0."""
+    V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
+    W = np.concatenate([y[nx + ny - 1:], [0.0]]) if fixed else None
+    return y[:nx].copy(), V, W
 
-    Prices every cell in one pass of grid − U − V (− W) into a reused buffer,
-    basic cells masked.  Enters the largest reduced cost (first flat index on
-    ties), or after DEGEN_RUN·m degenerate pivots in a row the first cell
-    that prices out (Bland) until mass moves, so it cannot cycle.  Leaves the
-    smallest ratio, the smallest cell on ties.  A factorisation solves B for
+
+def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
+                  basis: np.ndarray, shape: tuple, fixed: bool, scale: float, price):
+    """Primal revised simplex (maximization) over a working set of cells,
+    from a feasible basis of one cell per row (m rows) among them: cells are
+    flat ids in ascending order and vals their s values.
+
+    Each pivot prices the working set, basic cells masked, and enters the
+    largest reduced cost (first cell on ties), or after DEGEN_RUN·m
+    degenerate pivots in a row the first cell that prices out (Bland) until
+    mass moves, so it cannot cycle.  Leaves the smallest ratio: on ties the
+    largest pivot element, which keeps long runs of degenerate pivots short,
+    or under Bland's rule the smallest cell.  A factorisation solves B for
     the basic masses and Bᵀ for the duals; B⁻¹ = inv(B) is formed at the
-    first pivot after it, so a solve that makes no pivot forms none, and is
-    then updated by rank one.  B is refactorised every REFACTOR_EVERY
-    pivots, before stopping, and in place of a pivot on an element at most
-    RATIO_TOL times the entering column's largest: that is rounding drift of
-    the updated B⁻¹, and a pivot on it can leave B singular.  Tolerances on
-    reduced costs are fractions of scale, the grid's range.
+    first pivot after it, so a solve that makes no pivot forms none, and
+    each pivot since adds an eta vector: B⁻¹ in product form, no m×m update.
+    B is refactorised every REFACTOR_EVERY pivots, before the working set is
+    left, and in place of a pivot on an element at most RATIO_TOL times the
+    entering column's largest: that is rounding drift of the product form,
+    and a pivot on it can leave B singular.  Tolerances on reduced costs are
+    fractions of scale, the grid's range.
 
-    Returns (x, y, iterations, degenerate_flag): every cell's mass, flat, in
-    the pricing buffer, and the row duals.
+    When no cell of the working set prices out, price(U, V, W, basis) prices
+    the whole grid under those duals: it returns the nonbasic cells above
+    ENTER_TOL·scale with their values, which join the working set (B does
+    not change), and the largest reduced cost off the basis.  The solve
+    stops at the first pass that returns no cell; that pass certifies it.
+
+    Returns (basis, x_B, c_B, y, iterations, degenerate_flag): the basic
+    cells, their masses and values, and the row duals.
     """
-    nx, ny, _ = grid.shape
-    flat = grid.reshape(-1)
-    basis = np.array(basis)
     m = basis.size
     enter_tol = ENTER_TOL * scale
+    max_iter = 5000 + 50 * int(np.prod(shape))
 
-    def factor():
-        B = _basis_matrix(basis, grid.shape, fixed)
-        return B, np.linalg.solve(B, rhs), np.linalg.solve(B.T, flat[basis])
+    def rows_of(ids):  # X, Y and Z rows; m, whose dual reads 0, where none
+        return np.stack([np.where(on, row, m) for row, on in _cell_rows(ids, shape, fixed)])
 
-    B, xB, y = factor()
-    Binv = None  # np.linalg.inv(B), formed when a pivot first needs it
+    def factor():  # drops B⁻¹ and the eta file first: one m×m is held at a time
+        nonlocal xB, y, Binv, etas
+        Binv, etas = None, []
+        B = _basis_matrix(basis, shape, fixed)
+        xB, y = np.linalg.solve(B, rhs), np.linalg.solve(B.T, cB)
+
+    rows = rows_of(cells)
+    at = np.searchsorted(cells, basis)  # each basic cell's place in the working set
+    cB = vals[at]
+    xB = y = Binv = etas = None
+    factor()
     assert xB.min() >= -MASS_CLAMP, "start is not feasible"
 
-    iterations = since_factor = degenerate_run = 0
-    max_iter = 5000 + 50 * flat.size
-    red = np.empty_like(grid)
-    red_flat = red.reshape(-1)
+    iterations = degenerate_run = 0
     while True:
-        np.subtract(grid, y[:nx, None, None], out=red)
-        red[:, :ny - 1] -= y[nx:nx + ny - 1, None]
+        y0 = np.append(y, 0.0)
+        red = vals - y0[rows[0]]
+        red -= y0[rows[1]]
         if fixed:
-            red[:, :, :-1] -= y[nx + ny - 1:]
-        red_flat[basis] = -np.inf
+            red -= y0[rows[2]]
+        red[at] = -np.inf
         if degenerate_run < DEGEN_RUN * m:
-            t = int(np.argmax(red_flat))
+            t = int(np.argmax(red))
         else:
-            t = int(np.argmax(red_flat > enter_tol))
-        if red_flat[t] <= enter_tol:
-            if since_factor == 0:
+            t = int(np.argmax(red > enter_tol))
+        if red[t] <= enter_tol:
+            if etas:
+                factor()
+                continue
+            new, new_vals, top = price(*_duals(y, shape[0], shape[1], fixed), basis)
+            if new.size == 0:
                 break
-            (B, xB, y), Binv, since_factor = factor(), None, 0
+            if 8 * 6 * (cells.size + new.size) > LP_BYTES_LIMIT:  # six words a cell
+                raise TooLarge(
+                    f"the working set of {cells.size + new.size:,} cells needs more than "
+                    f"{LP_BYTES_LIMIT / 2**20:,.0f} MiB")
+            order = np.argsort(np.concatenate([cells, new]), kind="stable")
+            cells = np.concatenate([cells, new])[order]
+            vals = np.concatenate([vals, new_vals])[order]
+            rows = rows_of(cells)
+            at = np.searchsorted(cells, basis)
             continue
 
         if Binv is None:
-            Binv = np.linalg.inv(B)
-        rows = [row for row, on in _cell_rows(t, grid.shape, fixed) if on]
-        d = Binv[:, rows].sum(axis=1)
+            Binv = np.linalg.inv(_basis_matrix(basis, shape, fixed))
+        d = Binv[:, [row for row, on in _cell_rows(int(cells[t]), shape, fixed) if on]].sum(axis=1)
+        for r, e in etas:  # d = B⁻¹a through the eta file, oldest first
+            q = d[r] / e[r]
+            d -= q * e
+            d[r] = q
         pos = np.flatnonzero(d > RATIO_TOL)
         if pos.size == 0:
             raise RuntimeError("LP appears unbounded; a basis column is broken")
         ratios = xB[pos] / d[pos]
         theta = max(float(ratios.min()), 0.0)
         ties = pos[ratios <= theta + 1e-12 * (1.0 + theta)]
-        r = int(ties[np.argmin(basis[ties])])
-        if since_factor and d[r] <= RATIO_TOL * float(np.abs(d).max()):
-            # rounding drift of the updated B⁻¹, not a pivot element
-            (B, xB, y), Binv, since_factor = factor(), None, 0
+        if degenerate_run < DEGEN_RUN * m:
+            r = int(ties[np.argmax(d[ties])])
+        else:
+            r = int(ties[np.argmin(basis[ties])])
+        if etas and d[r] <= RATIO_TOL * float(np.abs(d).max()):
+            # rounding drift of the product form, not a pivot element
+            factor()
             continue
         iterations += 1
         if iterations > max_iter:
@@ -419,22 +468,19 @@ def _cell_simplex(grid: np.ndarray, rhs: np.ndarray, basis: list[int],
 
         xB -= theta * d
         xB[r] = theta
-        pivot_row = Binv[r] / d[r]
-        Binv -= np.outer(d, pivot_row)
-        Binv[r] = pivot_row
-        basis[r] = t
-        y = flat[basis] @ Binv
+        etas.append((r, d))
+        basis[r], cB[r], at[r] = cells[t], vals[t], t
+        u = cB.copy()
+        for r, e in reversed(etas):  # y = c_B B⁻¹, newest eta vector first
+            u[r] += (u[r] - u @ e) / e[r]
+        y = u @ Binv
         degenerate_run = degenerate_run + 1 if theta <= RATIO_TOL else 0
-        since_factor += 1
-        if since_factor == REFACTOR_EVERY:
-            (B, xB, y), Binv, since_factor = factor(), None, 0
+        if len(etas) == REFACTOR_EVERY:
+            factor()
 
-    degenerate = bool(red.max() >= -DEGEN_TOL * scale)
     if float(xB.min()) < -MASS_CLAMP:
         raise RuntimeError(f"negative primal value {xB.min():.3e} at optimum")
-    red_flat.fill(0.0)
-    red_flat[basis] = np.maximum(xB, 0.0)
-    return red_flat, y, iterations, degenerate
+    return basis, np.maximum(xB, 0.0), cB, y, iterations, bool(top >= -DEGEN_TOL * scale)
 
 
 def _greedy_tripartite_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -461,56 +507,83 @@ def _greedy_tripartite_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
                  alpha: DiscreteMeasure | None) -> SolveResult:
-    """The free-z LP (alpha None), started from the northwest-corner cells at
-    each pair's best good, or the fixed-alpha LP, started from the greedy
-    tripartite path; the result carries the grid's reduction.  Raises
-    TooLarge before allocating when the grid, the pricing buffer, the
-    reduction, B and B⁻¹ would exceed LP_BYTES_LIMIT, and ValidationError on
-    a non-finite grid, which no pivot could price.
+    """The free-z LP (alpha None) or the fixed-alpha LP by column generation:
+    _cell_simplex over a working set of cells, grown by pricing passes over
+    the whole grid until one adds no cell.  No grid is held.
+
+    Free z starts from the northwest-corner cells at each pair's best good,
+    and the working set holds only such cells: a pair's cells share one
+    column of the LP, so its best cell prices highest, and once it is basic
+    the others price below it.  A pricing pass is the solve's reduction:
+    residual(U, V) for each pair, the runner-up's for a pair whose best cell
+    is basic.  Fixed alpha starts from the greedy tripartite path plus every
+    cell within SEED_BAND·range of tight under the reduce_lift duals, and
+    prices by _residual_fold.  The result carries the reduction.  Raises
+    TooLarge before allocating when the reduction, B, B⁻¹ and a working set
+    of a cell per pair would exceed LP_BYTES_LIMIT, and ValidationError on a
+    non-finite grid, which no pivot could price.
     """
-    nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
+    X, Y = mu.points, nu.points
+    shape = nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
     fixed = alpha is not None
     weights = [mu.weights, nu.weights] + ([alpha.weights] if fixed else [])
     m = nx + ny - 1 + (nz - 1 if fixed else 0)
-    need = 8 * (2 * nx * ny * nz + 3 * nx * ny + 2 * m * m)
+    # three words a pair for the reduction, six a cell for the working set
+    need = 8 * (9 * nx * ny + 2 * m * m)
     if need > LP_BYTES_LIMIT:
         raise TooLarge(
-            f"the {nx}x{ny}x{nz} LP needs about {need / 2**20:,.0f} MiB for its grid, pricing "
-            f"buffer, reduction, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+            f"the {nx}x{ny}x{nz} LP needs about {need / 2**20:,.0f} MiB for its reduction, "
+            f"working set, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
     totals = [float(np.sum(w)) for w in weights]
     if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("marginals carry different total mass")
 
-    grid = np.empty((nx, ny, nz))
-
-    def kept():  # each block of rows, kept before the fold overwrites it
-        for lo, block in s._grid_blocks(mu.points, nu.points, z_pts):
-            grid[lo:lo + block.shape[0]] = block
-            yield lo, block
-
-    red = _fold(kept(), (nx, ny), z_pts)
+    red = reduce(s, X, Y, z_pts)
     scale = red.grid_scale
     if not np.isfinite(scale):
         raise ValidationError("surplus grid must be finite, with a finite range")
     rhs = np.concatenate([mu.weights] + [w[:-1] for w in weights[1:]])
     if fixed:
-        start = _greedy_tripartite_basis(mu.weights, nu.weights, alpha.weights, ny, nz)
+        start = np.array(_greedy_tripartite_basis(mu.weights, nu.weights, alpha.weights,
+                                                  ny, nz))
+        lift = solve_bipartite(red.values, mu, nu).potentials
+        seed = _residual_fold(s, X, Y, z_pts, lift.U, lift.V, np.zeros(nz),
+                              -SEED_BAND * scale)
+        i, j, k = np.unravel_index(start, shape)
+        cells, first = np.unique(np.concatenate([start, seed.cells]), return_index=True)
+        vals = np.concatenate([s.value_batch(X[i], Y[j], z_pts[k]), seed.values])[first]
+
+        def price(U, V, W, basis):
+            found = _residual_fold(s, X, Y, z_pts, U, V, W, ENTER_TOL * scale, basis,
+                                   PRICE_CAP * m)
+            return found.cells, found.values, found.peak
     else:  # the same X and Y rows as any other choice of goods: still a basis
-        start = [(i * ny + j) * nz + int(red.argmax[i, j])
-                 for i, j in _northwest_path(mu.weights, nu.weights)[0]]
-    x, y, iterations, degen = _cell_simplex(grid, rhs, start, fixed, scale)
-    U = y[:nx].copy()
-    V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
-    W = np.concatenate([y[nx + ny - 1:], [0.0]]) if fixed else None
+        pairs = np.ravel_multi_index(np.transpose(_northwest_path(mu.weights, nu.weights)[0]),
+                                     (nx, ny))
+        start = pairs * nz + red.argmax.flat[pairs]
+        cells, vals = np.sort(start), red.values.flat[np.sort(pairs)]
+
+        def price(U, V, W, basis):  # every cell of the working set is its pair's best
+            res = red.residual(U, V)
+            i, j = np.unravel_index(basis // nz, (nx, ny))
+            res[i, j] = -np.inf
+            new = np.flatnonzero(res > ENTER_TOL * scale)
+            top = max(res.max(), ((red.second[i, j] - U[i]) - V[j]).max())
+            return new * nz + red.argmax.flat[new], red.values.flat[new], top
+
+    basis, x, c, y, iterations, degen = _cell_simplex(cells, vals, rhs, start, shape,
+                                                      fixed, scale, price)
+    U, V, W = _duals(y, nx, ny, fixed)
     shift = float(U.min())
     U -= shift
     V += shift
-    objective = float(grid.ravel() @ x)
+    # the sum of the products, correctly rounded: no order of the basis shows
+    objective = math.fsum(c * x)
     dual_value = float(mu.weights @ U + nu.weights @ V
                        + (alpha.weights @ W if fixed else 0.0))
-    cells = np.flatnonzero(x > 0.0)
-    entries = zip(*(t.tolist() for t in np.unravel_index(cells, grid.shape)),
-                  x[cells].tolist())
+    held = x > 0.0
+    entries = zip(*(t.tolist() for t in np.unravel_index(basis[held], shape)),
+                  x[held].tolist())
     return SolveResult(
         coupling=Coupling.from_entries(entries, mu, nu, z_points=z_pts, alpha=alpha,
                                        marginal_tol=SOLVER_MARGINAL_TOL),
@@ -601,9 +674,15 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     DRIFT_TOL of the grid's range plus the rounding of sums of that
     magnitude, or RuntimeError.  That LP is a restriction of the free-z LP
     that keeps the free-z optimum, so its optimum is degenerate only where
-    the free-z one is or where the lift chose among tied goods.
+    the free-z one is or where the lift chose among tied goods.  A good that
+    repeats a point counts once, at its first copy: alpha is a measure, so
+    its points are distinct, and a repeat never changes the optimum.
     """
-    res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
+    z_pts = as_point_array(zs)
+    first: dict = {}
+    for k, point in enumerate(map(tuple, z_pts.tolist())):
+        first.setdefault(point, k)
+    res = solve_hybrid(s, mu, nu, z_pts[list(first.values())], method="reduce_lift")
     red = res.reduction
     alpha = project(res.coupling, "z")
     scale = red.grid_scale

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hedonic_match import cli
+from hedonic_match import cli, solver
 from hedonic_match.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -220,8 +220,9 @@ def test_diagnose_reads_the_surplus_grid_once(tmp_path, monkeypatch, family):
 
 @pytest.mark.parametrize("route", [["--method", "direct_lp", "--z-points"], ["--alpha"]])
 def test_three_index_diagnose_evaluates_the_grid_once(tmp_path, monkeypatch, route):
-    # the LP's grid gives its reduction, so what is left is one z-column for
-    # the worst residual or, with W, verify_stability's own fold
+    # the LP's reduction is the one grid pass of direct_lp, so what is left is
+    # one z-column for the worst residual; fixed alpha adds one pass for its
+    # seed and one per pricing round, and verify_stability folds W once more
     inst = random_instance(0, n=12, nz=5, family="bilinear")
     dump_json(inst.surplus.to_dict(), tmp_path / "surplus.json")
     measure_to_csv(inst.mu, tmp_path / "mu.csv")
@@ -236,13 +237,25 @@ def test_three_index_diagnose_evaluates_the_grid_once(tmp_path, monkeypatch, rou
         return grid
 
     monkeypatch.setattr(SurplusModel, "value_grid", counted)
+    passes = []
+    fold = solver._residual_fold
+
+    def counted_pass(*args):
+        passes.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(solver, "_residual_fold", counted_pass)
     code = main(["diagnose", "--surplus", str(tmp_path / "surplus.json"),
                  "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
                  *route, str(tmp_path / "z.csv"), "--out", str(tmp_path)])
     assert code == EXIT_OK
     nz = inst.z_points.shape[0]
     grid = inst.mu.size * inst.nu.size * nz
-    assert sum(cells) == (2 * grid if route == ["--alpha"] else grid + nz)
+    if route == ["--alpha"]:
+        assert 2 <= len(passes) <= 4
+        assert sum(cells) == (2 + len(passes)) * grid
+    else:
+        assert sum(cells) == grid + nz
 
 
 def test_reduce_subcommand(tmp_path):

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -27,7 +29,12 @@ from hedonic_match.solver import (
     solve_hybrid,
     solve_tripartite_fixed_alpha,
 )
-from hedonic_match.surplus import BilinearSurplus, SurplusModel
+from hedonic_match.surplus import (
+    BilinearSurplus,
+    CounterexampleSurplus,
+    SurplusModel,
+    TabulatedSurplus,
+)
 
 # With absolute tolerances, direct_lp on seeds 1 and 2 stopped 30% and 73%
 # below the optimum at c = 1e-12 and the stability check called both stable;
@@ -365,6 +372,19 @@ def _count_factorisations(monkeypatch) -> dict:
     return calls
 
 
+def _count_passes(monkeypatch) -> list:
+    """The fixed-alpha LP's passes over the grid: its seed, then pricing."""
+    passes = []
+    fold = solver._residual_fold
+
+    def counted(*args, **kwargs):
+        passes.append(fold(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(solver, "_residual_fold", counted)
+    return passes
+
+
 def test_a_solve_without_pivots_forms_no_inverse(monkeypatch):
     # s falls with z and is supermodular in (x, y): the warm start, each
     # pair at its best good in sorted order, is optimal
@@ -381,13 +401,16 @@ def test_each_factorisation_a_pivot_follows_forms_one_inverse(monkeypatch):
     inst = random_instance(0, n=12, nz=6, family="counterexample")
     alpha = DiscreteMeasure.uniform(inst.z_points)
     calls = _count_factorisations(monkeypatch)
+    passes = _count_passes(monkeypatch)
     res = solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu, alpha)
     assert res.iterations > solver.REFACTOR_EVERY
-    # the start, one every REFACTOR_EVERY pivots and the stop-time one,
-    # which no pivot follows
+    # the start, one every REFACTOR_EVERY pivots and at most one before each
+    # pricing pass (the seed pass is not one); no pivot follows the last
     factorisations = calls["solve"] // 2
     assert calls["solve"] == 2 * factorisations
-    assert calls["inv"] == factorisations - 1 == -(-res.iterations // solver.REFACTOR_EVERY)
+    assert calls["inv"] == factorisations - 1
+    periodic = res.iterations // solver.REFACTOR_EVERY
+    assert periodic < factorisations - 1 <= periodic + len(passes) - 1
 
 
 @pytest.mark.parametrize("fixed", [False, True])
@@ -409,3 +432,78 @@ def test_basis_matrix_follows_the_cell_rule(fixed):
             # the entering column's lookup reads the same rows, X, Y, Z order
             assert [row for row, on in solver._cell_rows(t, shape, fixed) if on] == rows
         np.testing.assert_array_equal(solver._basis_matrix(basis, shape, fixed), want)
+
+
+@pytest.mark.parametrize("seed, n", [(13, 18), (22, 18), (5, 24)])
+def test_stalling_fixed_alpha_markets_match_highs(seed, n):
+    # Dantzig's rule over the whole grid, the smallest cell leaving on ties,
+    # took 7,335, 28,451 and 123,480 pivots here, nearly all degenerate
+    inst = random_instance(seed, n=n, nz=n, family="counterexample")
+    alpha = DiscreteMeasure.uniform(inst.z_points)
+    grid = _grid(inst)
+    span = float(np.ptp(grid))
+    res = solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu, alpha)
+    assert res.iterations < 5_000
+    optimum = _highs(grid, inst.mu.weights, inst.nu.weights, alpha.weights)
+    assert abs(res.objective - optimum) <= 1e-9 * span
+    assert _dual_infeasibility(grid, res) <= 1e-9 * span
+
+
+@pytest.mark.parametrize("family", ["bilinear", "counterexample"])
+def test_direct_lp_holds_no_grid(family):
+    # the reduction, the working set, B⁻¹ and one block of rows: the
+    # bilinear market makes no pivot, the counterexample one hundreds
+    inst = random_instance(0, n=200, nz=65, family=family)
+    grid_bytes = 8 * 200 * 200 * 65
+    assert grid_bytes >= 16 * 2**20
+    tracemalloc.start()
+    try:
+        solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points, method="direct_lp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 8), ny=st.integers(1, 8),
+       nz=st.integers(1, 5), log_scale=st.floats(-9.0, 9.0), shift=st.floats(-1e3, 1e3))
+def test_three_index_lps_match_highs_on_integer_rewards(seed, nx, ny, nz, log_scale, shift):
+    # rewards in {0, 1, 2, 3}: ties everywhere, and many optimal couplings
+    rng = np.random.default_rng(seed)
+    nodes = [np.arange(k, dtype=float) for k in (nx, ny, nz)]
+    values = rng.integers(0, 4, size=(nx, ny, nz)).astype(float)
+    mu, nu, alpha = (DiscreteMeasure(p[:, None], w / w.sum())
+                     for p, w in ((p, rng.integers(1, 6, size=p.size).astype(float))
+                                  for p in nodes))
+    c = 10.0 ** log_scale
+    s = _Affine(TabulatedSurplus(values, *nodes), c, c * shift)
+    grid = s.value_grid(mu.points, nu.points, alpha.points)
+    tol = 1e-9 * grid_scale(grid)
+    for res, optimum in (
+            (solve_hybrid(s, mu, nu, alpha.points, method="direct_lp"),
+             _highs(values, mu.weights, nu.weights)),
+            (solve_tripartite_fixed_alpha(s, mu, nu, alpha),
+             _highs(values, mu.weights, nu.weights, alpha.weights))):
+        assert abs(res.objective - (c * optimum + c * shift)) <= tol
+        assert _dual_infeasibility(grid, res) <= tol
+
+
+def test_max_over_alpha_merges_repeated_goods():
+    # solve_hybrid takes the repeated goods 0.25 and 0.75; alpha, a measure,
+    # holds each once, at the copy the lift picks
+    s = CounterexampleSurplus(0.5)
+    mu = DiscreteMeasure.uniform(np.linspace(0.5, 1.0, 7)[:, None])
+    nu = DiscreteMeasure.uniform(np.linspace(0.0, 0.5, 7)[:, None])
+    zs = np.array([0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0])[:, None]
+    free = solve_hybrid(s, mu, nu, zs)
+    assert free.objective == pytest.approx(49 / 144, rel=1e-15)
+    search = max_over_alpha(s, mu, nu, zs)
+    assert search.result.objective == free.objective
+    np.testing.assert_array_equal(search.alpha.points, zs[[0, 1, 3, 4, 6]])
+    fixed = search.fixed_alpha_result
+    grid = s.value_grid(mu.points, nu.points, search.alpha.points)
+    span = float(np.ptp(grid))
+    assert abs(fixed.objective - _highs(grid, mu.weights, nu.weights,
+                                        search.alpha.weights)) <= 1e-9 * span
+    assert _dual_infeasibility(grid, fixed) <= 1e-9 * span
