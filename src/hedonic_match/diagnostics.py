@@ -101,7 +101,8 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     model.  A fixed-alpha solve carries a third potential W over goods;
     passing it checks U + V + W ≥ s instead.  Stability is equivalent to LP
     optimality of the coupling.  tol is a fraction of the checked grid's
-    scale (its range max − min); the report gives it in absolute units.
+    scale (its range max − min); the report gives it in absolute units.  A
+    grid of infinite range certifies nothing and reads not stable.
 
     Without W the grid enters only through sbar = max_z s: pass the solve's
     reduction as reduced, or it is computed here.  ReducedSurplus.residual
@@ -180,7 +181,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
     return StabilityReport(
         max_grid_residual=max_grid,
         max_support_residual=max_support,
-        stable=max_grid <= tol and max_support <= tol,
+        stable=max_grid <= tol < np.inf and max_support <= tol,
         worst_triple=worst,
         tol=tol,
     )

@@ -5,9 +5,9 @@ The two-step route to the hybrid problem: collapse z by maximizing,
 remember which z attained it, then match buyers to sellers on sbar.  _fold
 is the package's one fold of the surplus grid over goods, one block of x
 rows at a time (SurplusModel._grid_blocks): reduce holds no more than a
-block, and the three-index LPs price their working sets from it or from
-_residual_fold, the one pass of s − U ⊕ V ⊕ W over the grid.  The
-c-transforms are maxima of the reduction's residual.
+block.  Both free-z methods solve their pair LP on its values, and the
+fixed-alpha LP prices by _residual_fold, the one pass of s − U ⊕ V ⊕ W over
+the grid.  The c-transforms are maxima of the reduction's residual.
 """
 
 from __future__ import annotations
@@ -214,16 +214,6 @@ def _payoffs(P, n: int, label: str, axis: str) -> np.ndarray:
     if not np.all(np.isfinite(P)):
         raise ValidationError(f"{label} must be finite")
     return P
-
-
-def c_transform_V(s, V, xs, ys, zs) -> np.ndarray:
-    """ReducedSurplus.c_transform_V of reduce(s, xs, ys, zs)."""
-    return reduce(s, xs, ys, zs).c_transform_V(V)
-
-
-def c_transform_U(s, U, xs, ys, zs) -> np.ndarray:
-    """ReducedSurplus.c_transform_U of reduce(s, xs, ys, zs)."""
-    return reduce(s, xs, ys, zs).c_transform_U(U)
 
 
 def reduced_to_csv(reduced: ReducedSurplus, path) -> None:

@@ -1,19 +1,24 @@
 """Exact LP solvers for the matching problems, plus brute-force oracles.
 
-Two engines, kept deliberately separate so the dual-route acceptance checks
-compare genuinely different code paths:
+With z free the hybrid problem is bipartite matching on the reduced surplus
+sbar(x, y) = max_z s(x, y, z) (Chiappori, McCann & Nesheim, "Hedonic price
+equilibria, stable matching, and optimal transport", Economic Theory 2010),
+and solve_hybrid takes one route for both methods: it reduces once, solves
+the pair LP on sbar with the method's engine and lifts each matched pair to
+its argmax good once.  The two engines stay separate, so that the dual-route
+acceptance checks compare genuinely different code paths:
 
 - a primal network simplex on the bipartite transportation polytope
   (northwest-corner start, largest-reduced-cost entering cell, Cunningham's
   strongly feasible leaving rule, potentials updated on the re-hung subtree
-  only), used by the reduce-then-lift route;
-- column generation for the direct three-index LPs: a revised simplex over
-  a working set of cells (Dantzig pricing over the set, the largest pivot
-  element on ratio ties, Bland's rule after a run of degenerate pivots, B⁻¹
-  formed only once a pivot needs it and then kept in product form, a
-  feasible start and no phase 1), grown by passes that price the whole grid
-  until one adds no cell.  No grid is held: with z free a pass reads the
-  solve's reduction, with alpha fixed it folds s − U ⊕ V ⊕ W block by block.
+  only), reduce_lift's engine;
+- column generation: a revised simplex over a working set of cells (Dantzig
+  pricing over the set, the largest pivot element on ratio ties, Bland's
+  rule after a run of degenerate pivots, B⁻¹ formed only once a pivot needs
+  it and then kept in product form, a feasible start and no phase 1), grown
+  by passes that price the whole grid until one adds no cell.  It solves
+  direct_lp's pair LP, whose passes read the reduction, and the fixed-alpha
+  LP, whose passes fold s − U ⊕ V ⊕ W block by block.  No grid is held.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
 support-based diagnostics stay meaningful.  Every solve of a surplus model
@@ -48,7 +53,7 @@ ENTER_TOL = 1e-11
 DEGEN_TOL = 1e-9
 RATIO_TOL = 1e-11
 MASS_CLAMP = 1e-9
-# three-index simplex: degenerate pivots in a row per row of B before Bland's
+# column generation: degenerate pivots in a row per row of B before Bland's
 # rule, pivots between refactorisations, and the bytes it may allocate
 DEGEN_RUN = 20
 REFACTOR_EVERY = 50
@@ -122,35 +127,38 @@ class SolveResult:
 # It hangs from row 0 and is kept as lists indexed by node: the parent, the
 # depth, the mass on the arc to the parent and that arc's flat cell index.
 
-def _northwest_path(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
-    """Northwest-corner start: a staircase of exactly m+n-1 cells.
-
-    The last row takes what is left of each column, so that a shortfall of
-    rounding in the row weights cannot leave a zero-mass cell there.
+def _staircase(*weights: np.ndarray) -> tuple[list[tuple[int, ...]], list[float]]:
+    """Northwest-corner start on two or three axes: a path of Σn − (axes−1)
+    cells from the first corner to the last, each one step along one axis
+    from the one before: along the first axis whose mass ran out, or else
+    the first that can move.  Each cell takes the least mass left on its
+    axes, but once the first axis is at its last index it no longer counts,
+    and the last row takes what is left of the others, so that a shortfall
+    of rounding in the row weights cannot leave a zero-mass cell there.
     """
-    m, n = a.size, b.size
-    ra = a.astype(float).copy()
-    rb = b.astype(float).copy()
-    cells: list[tuple[int, int]] = []
-    alloc: list[float] = []
-    i = j = 0
-    for _ in range(m + n - 1):
-        take = rb[j] if i == m - 1 else min(ra[i], rb[j])
-        cells.append((i, j))
-        alloc.append(float(take))
-        ra[i] -= take
-        rb[j] -= take
-        if i == m - 1 and j == n - 1:
-            break
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
-            i += 1
-        elif ra[i] == 0.0:
-            i += 1
+    rem = [w.tolist() for w in weights]  # Python floats: a step costs no numpy call
+    last = [len(r) - 1 for r in rem]
+    pos = [0] * len(rem)
+    movable = [ax for ax, n in enumerate(last) if n > 0]
+    cells: list[tuple[int, ...]] = []
+    masses: list[float] = []
+    while True:
+        at = list(map(list.__getitem__, rem, pos))
+        take = min(at) if pos[0] < last[0] else min(at[1:])
+        cells.append(tuple(pos))
+        masses.append(take)
+        if not movable:
+            return cells, masses
+        for r, p, v in zip(rem, pos, at):
+            r[p] = v - take
+        for ax in movable:  # v - take is 0 exactly when v == take
+            if at[ax] == take:
+                break
         else:
-            j += 1
-    return cells, alloc
+            ax = movable[0]
+        pos[ax] += 1
+        if pos[ax] == last[ax]:
+            movable.remove(ax)
 
 
 def _tree_masses(cells: list[tuple[int, int]], a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,7 +215,7 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
     pot = [0.0] * (m + n)
     children: list[list[int]] = [[] for _ in range(m + n)]
     # each staircase cell after the first brings in one new node, its child
-    for (i, j), w in zip(*_northwest_path(a, b)):
+    for (i, j), w in zip(*_staircase(a, b)):
         child, par = (m + j, i) if parent[m + j] < 0 else (i, m + j)
         parent[child], depth[child] = par, depth[par] + 1
         flow[child], cell[child] = w, i * n + j
@@ -328,41 +336,42 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResu
     )
 
 
-# --- column generation (three-index) ----------------------------------------
+# --- column generation -------------------------------------------------------
 #
-# Columns are the cells (i, j, k), flat index (i * ny + j) * nz + k.  Rows are
-# every X row, Y rows 0..ny-2 and, with a prescribed alpha, Z rows 0..nz-2
-# (the last ones follow from the total mass).  No column is ever stored, and
-# only the cells of the working set are priced on each pivot.
+# Columns are the cells (i, j, k) of an nx × ny × nz grid, flat index
+# (i * ny + j) * nz + k.  Rows are every X row, Y rows 0..ny-2 and Z rows
+# 0..nz-2 (the last ones follow from the total mass), so the pair LP, on
+# shape (nx, ny, 1) with pair ids as cells, has no Z row.  No column is ever
+# stored, and only the cells of the working set are priced on each pivot.
 
-def _cell_rows(cells, shape: tuple, fixed: bool) -> list[tuple]:
+def _cell_rows(cells, shape: tuple) -> list[tuple]:
     """The X, Y and Z rows of flat cells, each as (row, whether the cell has
     it); cells is one int or an int array, read elementwise."""
     nx, ny, nz = shape
     i, rest = divmod(cells, ny * nz)
     j, k = divmod(rest, nz)
-    return [(i, i >= 0), (nx + j, j < ny - 1), (nx + ny - 1 + k, (k < nz - 1) & fixed)]
+    return [(i, i >= 0), (nx + j, j < ny - 1), (nx + ny - 1 + k, k < nz - 1)]
 
 
-def _basis_matrix(basis: np.ndarray, shape: tuple, fixed: bool) -> np.ndarray:
+def _basis_matrix(basis: np.ndarray, shape: tuple) -> np.ndarray:
     """B, whose column r holds the ones of cell basis[r]'s rows."""
     B = np.zeros((basis.size, basis.size))
     col = np.arange(basis.size)
-    for row, on in _cell_rows(basis, shape, fixed):
+    for row, on in _cell_rows(basis, shape):
         B[row[on], col[on]] = 1.0
     return B
 
 
-def _duals(y: np.ndarray, nx: int, ny: int, fixed: bool):
-    """U, V and W (None with z free) from the row duals; the last Y and Z
-    rows are dropped, so their duals are 0."""
+def _duals(y: np.ndarray, nx: int, ny: int):
+    """U, V and W from the row duals; the last Y and Z rows are dropped, so
+    their duals are 0, and W is [0] on the pair LP."""
     V = np.concatenate([y[nx:nx + ny - 1], [0.0]])
-    W = np.concatenate([y[nx + ny - 1:], [0.0]]) if fixed else None
+    W = np.concatenate([y[nx + ny - 1:], [0.0]])
     return y[:nx].copy(), V, W
 
 
 def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
-                  basis: np.ndarray, shape: tuple, fixed: bool, scale: float, price):
+                  basis: np.ndarray, shape: tuple, scale: float, price):
     """Primal revised simplex (maximization) over a working set of cells,
     from a feasible basis of one cell per row (m rows) among them: cells are
     flat ids in ascending order and vals their s values.
@@ -395,16 +404,13 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     enter_tol = ENTER_TOL * scale
     max_iter = 5000 + 50 * int(np.prod(shape))
 
-    def rows_of(ids):  # X, Y and Z rows; m, whose dual reads 0, where none
-        return np.stack([np.where(on, row, m) for row, on in _cell_rows(ids, shape, fixed)])
-
     def factor():  # drops B⁻¹ and the eta file first: one m×m is held at a time
         nonlocal xB, y, Binv, etas
         Binv, etas = None, []
-        B = _basis_matrix(basis, shape, fixed)
+        B = _basis_matrix(basis, shape)
         xB, y = np.linalg.solve(B, rhs), np.linalg.solve(B.T, cB)
 
-    rows = rows_of(cells)
+    i, j, k = np.unravel_index(cells, shape)
     at = np.searchsorted(cells, basis)  # each basic cell's place in the working set
     cB = vals[at]
     xB = y = Binv = etas = None
@@ -413,11 +419,10 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
 
     iterations = degenerate_run = 0
     while True:
-        y0 = np.append(y, 0.0)
-        red = vals - y0[rows[0]]
-        red -= y0[rows[1]]
-        if fixed:
-            red -= y0[rows[2]]
+        U, V, W = _duals(y, shape[0], shape[1])
+        red = vals - U[i]
+        red -= V[j]
+        red -= W[k]
         red[at] = -np.inf
         if degenerate_run < DEGEN_RUN * m:
             t = int(np.argmax(red))
@@ -427,7 +432,7 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
             if etas:
                 factor()
                 continue
-            new, new_vals, top = price(*_duals(y, shape[0], shape[1], fixed), basis)
+            new, new_vals, top = price(U, V, W, basis)
             if new.size == 0:
                 break
             if 8 * 6 * (cells.size + new.size) > LP_BYTES_LIMIT:  # six words a cell
@@ -437,13 +442,13 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
             order = np.argsort(np.concatenate([cells, new]), kind="stable")
             cells = np.concatenate([cells, new])[order]
             vals = np.concatenate([vals, new_vals])[order]
-            rows = rows_of(cells)
+            i, j, k = np.unravel_index(cells, shape)
             at = np.searchsorted(cells, basis)
             continue
 
         if Binv is None:
-            Binv = np.linalg.inv(_basis_matrix(basis, shape, fixed))
-        d = Binv[:, [row for row, on in _cell_rows(int(cells[t]), shape, fixed) if on]].sum(axis=1)
+            Binv = np.linalg.inv(_basis_matrix(basis, shape))
+        d = Binv[:, [row for row, on in _cell_rows(int(cells[t]), shape) if on]].sum(axis=1)
         for r, e in etas:  # d = B⁻¹a through the eta file, oldest first
             q = d[r] / e[r]
             d -= q * e
@@ -464,7 +469,7 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
             continue
         iterations += 1
         if iterations > max_iter:
-            raise PivotBudgetExceeded("three-index simplex exceeded its pivot budget")
+            raise PivotBudgetExceeded("column-generation simplex exceeded its pivot budget")
 
         xB -= theta * d
         xB[r] = theta
@@ -483,119 +488,78 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     return basis, np.maximum(xB, 0.0), cB, y, iterations, bool(top >= -DEGEN_TOL * scale)
 
 
-def _greedy_tripartite_basis(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                             ny: int, nz: int) -> list[int]:
-    """Northwest-style greedy path through the 3-index array: a feasible
-    basis of nx+ny+nz-2 cells, each one step along one axis from the last,
-    the first axis whose mass ran out or else the first that can move.
-    """
-    rem = [w.astype(float) for w in (a, b, c)]
-    last = [a.size - 1, ny - 1, nz - 1]
-    pos = [0, 0, 0]
-    cols: list[int] = []
-    while True:
-        i, j, k = pos
-        take = min(rem[0][i], rem[1][j], rem[2][k])
-        cols.append((i * ny + j) * nz + k)
-        for ax in range(3):
-            rem[ax][pos[ax]] -= take
-        movable = [ax for ax in range(3) if pos[ax] < last[ax]]
-        if not movable:
-            return cols
-        pos[next((ax for ax in movable if rem[ax][pos[ax]] == 0.0), movable[0])] += 1
-
-
-def _three_index(s, mu: DiscreteMeasure, nu: DiscreteMeasure, z_pts,
-                 alpha: DiscreteMeasure | None) -> SolveResult:
-    """The free-z LP (alpha None) or the fixed-alpha LP by column generation:
-    _cell_simplex over a working set of cells, grown by pricing passes over
-    the whole grid until one adds no cell.  No grid is held.
-
-    Free z starts from the northwest-corner cells at each pair's best good,
-    and the working set holds only such cells: a pair's cells share one
-    column of the LP, so its best cell prices highest, and once it is basic
-    the others price below it.  A pricing pass is the solve's reduction:
-    residual(U, V) for each pair, the runner-up's for a pair whose best cell
-    is basic.  Fixed alpha starts from the greedy tripartite path plus every
-    cell within SEED_BAND·range of tight under the reduce_lift duals, and
-    prices by _residual_fold.  The result carries the reduction.  Raises
-    TooLarge before allocating when the reduction, B, B⁻¹ and a working set
-    of a cell per pair would exceed LP_BYTES_LIMIT, and ValidationError on a
-    non-finite grid, which no pivot could price.
-    """
-    X, Y = mu.points, nu.points
-    shape = nx, ny, nz = mu.size, nu.size, z_pts.shape[0]
-    fixed = alpha is not None
-    weights = [mu.weights, nu.weights] + ([alpha.weights] if fixed else [])
-    m = nx + ny - 1 + (nz - 1 if fixed else 0)
+def _check_lp(*measures: DiscreteMeasure) -> None:
+    """Before anything is allocated: TooLarge when the reduction, B, B⁻¹
+    and a working set of a cell per pair would exceed LP_BYTES_LIMIT, and
+    InfeasibleMarginals when the measures carry different total masses."""
+    sizes = [measure.size for measure in measures]
+    m = sum(sizes) - len(sizes) + 1
     # three words a pair for the reduction, six a cell for the working set
-    need = 8 * (9 * nx * ny + 2 * m * m)
+    need = 8 * (9 * sizes[0] * sizes[1] + 2 * m * m)
     if need > LP_BYTES_LIMIT:
         raise TooLarge(
-            f"the {nx}x{ny}x{nz} LP needs about {need / 2**20:,.0f} MiB for its reduction, "
-            f"working set, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
-    totals = [float(np.sum(w)) for w in weights]
+            f"the {'x'.join(map(str, sizes))} LP needs about {need / 2**20:,.0f} MiB for its "
+            f"reduction, working set, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+    totals = [float(np.sum(measure.weights)) for measure in measures]
     if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("marginals carry different total mass")
 
-    red = reduce(s, X, Y, z_pts)
-    scale = red.grid_scale
-    if not np.isfinite(scale):
-        raise ValidationError("surplus grid must be finite, with a finite range")
-    rhs = np.concatenate([mu.weights] + [w[:-1] for w in weights[1:]])
-    if fixed:
-        start = np.array(_greedy_tripartite_basis(mu.weights, nu.weights, alpha.weights,
-                                                  ny, nz))
-        lift = solve_bipartite(red.values, mu, nu).potentials
-        seed = _residual_fold(s, X, Y, z_pts, lift.U, lift.V, np.zeros(nz),
-                              -SEED_BAND * scale)
-        i, j, k = np.unravel_index(start, shape)
-        cells, first = np.unique(np.concatenate([start, seed.cells]), return_index=True)
-        vals = np.concatenate([s.value_batch(X[i], Y[j], z_pts[k]), seed.values])[first]
 
-        def price(U, V, W, basis):
-            found = _residual_fold(s, X, Y, z_pts, U, V, W, ENTER_TOL * scale, basis,
-                                   PRICE_CAP * m)
-            return found.cells, found.values, found.peak
-    else:  # the same X and Y rows as any other choice of goods: still a basis
-        pairs = np.ravel_multi_index(np.transpose(_northwest_path(mu.weights, nu.weights)[0]),
-                                     (nx, ny))
-        start = pairs * nz + red.argmax.flat[pairs]
-        cells, vals = np.sort(start), red.values.flat[np.sort(pairs)]
-
-        def price(U, V, W, basis):  # every cell of the working set is its pair's best
-            res = red.residual(U, V)
-            i, j = np.unravel_index(basis // nz, (nx, ny))
-            res[i, j] = -np.inf
-            new = np.flatnonzero(res > ENTER_TOL * scale)
-            top = max(res.max(), ((red.second[i, j] - U[i]) - V[j]).max())
-            return new * nz + red.argmax.flat[new], red.values.flat[new], top
-
+def _cell_lp(red: ReducedSurplus, cells, vals, start, price, mu: DiscreteMeasure,
+             nu: DiscreteMeasure, alpha: DiscreteMeasure | None = None) -> SolveResult:
+    """_cell_simplex on the LP over couplings of mu, nu and, when given,
+    alpha (the pair LP without it), then the epilogue: the duals shifted so
+    that min U = 0, the objective as a correctly rounded sum and the gap to
+    the dual value.  Tolerances are fractions of the reduction's range."""
+    measures = [mu, nu] if alpha is None else [mu, nu, alpha]
+    shape = (mu.size, nu.size, 1 if alpha is None else alpha.size)
+    rhs = np.concatenate([mu.weights] + [measure.weights[:-1] for measure in measures[1:]])
     basis, x, c, y, iterations, degen = _cell_simplex(cells, vals, rhs, start, shape,
-                                                      fixed, scale, price)
-    U, V, W = _duals(y, nx, ny, fixed)
+                                                      red.grid_scale, price)
+    U, V, W = _duals(y, mu.size, nu.size)
     shift = float(U.min())
     U -= shift
     V += shift
     # the sum of the products, correctly rounded: no order of the basis shows
     objective = math.fsum(c * x)
-    dual_value = float(mu.weights @ U + nu.weights @ V
-                       + (alpha.weights @ W if fixed else 0.0))
+    dual_value = float(sum(measure.weights @ P for measure, P in zip(measures, (U, V, W))))
     held = x > 0.0
-    entries = zip(*(t.tolist() for t in np.unravel_index(basis[held], shape)),
-                  x[held].tolist())
+    index = np.unravel_index(basis[held], shape)[:len(measures)]
+    entries = zip(*(t.tolist() for t in index), x[held].tolist())
     return SolveResult(
-        coupling=Coupling.from_entries(entries, mu, nu, z_points=z_pts, alpha=alpha,
-                                       marginal_tol=SOLVER_MARGINAL_TOL),
+        coupling=Coupling.from_entries(
+            entries, mu, nu, z_points=None if alpha is None else alpha.points,
+            alpha=alpha, marginal_tol=SOLVER_MARGINAL_TOL),
         objective=objective,
         potentials=DualPotentials(U, V),
         duality_gap=abs(objective - dual_value),
         iterations=iterations,
         degenerate_optimum=degen,
-        method="tripartite_fixed_alpha" if fixed else "direct_lp",
-        z_potential=W,
+        method="direct_lp" if alpha is None else "tripartite_fixed_alpha",
+        z_potential=None if alpha is None else W,
         reduction=red,
     )
+
+
+def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
+    """direct_lp's engine: the pair LP on red.values by _cell_lp, from the
+    northwest-corner start.  A pricing pass is the reduction's residual
+    under the duals; the largest reduced cost off the basis counts the
+    runner-up good of each basic pair too, for the degenerate flag."""
+    start = np.ravel_multi_index(np.transpose(_staircase(mu.weights, nu.weights)[0]),
+                                 red.shape)
+    cells = np.sort(start)
+    enter_tol = ENTER_TOL * red.grid_scale
+
+    def price(U, V, W, basis):
+        res = red.residual(U, V)
+        i, j = np.unravel_index(basis, red.shape)
+        res[i, j] = -np.inf
+        new = np.flatnonzero(res > enter_tol)
+        top = max(res.max(), ((red.second[i, j] - U[i]) - V[j]).max())
+        return new, red.values.flat[new], top
+
+    return _cell_lp(red, cells, red.values.flat[cells], start, price, mu, nu)
 
 
 # --- hybrid and tripartite solves -------------------------------------------
@@ -605,49 +569,68 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
     """Maximize total surplus over couplings with X,Y marginals fixed and the
     good z chosen freely.
 
-    reduce_lift: collapse z by reduce(), solve the bipartite problem on sbar,
-    then lift each matched pair to its selected z.  direct_lp: the
-    implicit-column simplex on the full three-index variables with only X
-    and Y constraints.  The two routes agree in objective (checked by the
-    acceptance suite).
+    Both methods take one route: reduce() once, solve the pair LP on sbar,
+    then lift each matched pair to its argmax good, with a warning when
+    some matched pair's best good ties with another.  reduce_lift solves
+    the pair LP by the transport simplex, direct_lp by column generation
+    (refused with TooLarge before the reduction when too large).  The two
+    routes agree in objective (checked by the acceptance suite).  A grid
+    with a non-finite value or range is refused with ValidationError.
     """
     z_pts = as_point_array(zs)
-    if method == "reduce_lift":
-        red = reduce(s, mu.points, nu.points, z_pts)
-        bip = solve_bipartite(red.values, mu, nu)
-        entries = [(i, j, int(red.argmax[i, j]), w)
-                   for (i, j), w in zip(bip.coupling.indices, bip.coupling.masses)]
-        coupling = Coupling.from_entries(entries, mu, nu, z_points=z_pts,
-                                         marginal_tol=SOLVER_MARGINAL_TOL)
-        warnings = ()
-        used_tie = [(i, j) for (i, j, _, _) in entries if red.tie[i, j]]
-        if used_tie:
-            warnings = (
-                f"argmax ties at {len(used_tie)} matched pair(s); "
-                "the lift selection is one of several",
-            )
-        return SolveResult(
-            coupling=coupling,
-            objective=bip.objective,
-            potentials=bip.potentials,
-            duality_gap=bip.duality_gap,
-            iterations=bip.iterations,
-            degenerate_optimum=bip.degenerate_optimum,
-            method="reduce_lift",
-            reduction=red,
-            warnings=warnings,
-        )
-    if method != "direct_lp":
+    if method not in ("reduce_lift", "direct_lp"):
         raise ValidationError(f"unknown method {method!r}")
-    return _three_index(s, mu, nu, z_pts, None)
+    if method == "direct_lp":
+        _check_lp(mu, nu)
+    red = reduce(s, mu.points, nu.points, z_pts)
+    if not np.isfinite(red.grid_scale):
+        raise ValidationError("surplus grid must be finite, with a finite range")
+    if method == "reduce_lift":
+        pair = solve_bipartite(red.values, mu, nu)
+    else:
+        pair = _pair_lp(red, mu, nu)
+    i, j = pair.coupling.indices.T
+    lifted = Coupling(np.column_stack([i, j, red.argmax[i, j]]), pair.coupling.masses,
+                      mu, nu, z_points=z_pts, marginal_tol=SOLVER_MARGINAL_TOL)
+    tied = int(np.count_nonzero(red.tie[i, j]))
+    warnings = (f"argmax ties at {tied} matched pair(s); "
+                "the lift selection is one of several",) if tied else ()
+    return replace(pair, coupling=lifted, method=method, reduction=red, warnings=warnings)
 
 
 def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
                                  alpha: DiscreteMeasure) -> SolveResult:
     """Maximize total surplus over couplings with all three marginals fixed;
     alpha's support supplies the z points.
+
+    Column generation from the staircase through the grid plus every cell
+    within SEED_BAND·range of tight under the reduce_lift duals; a pricing
+    pass is _residual_fold.  The result carries the reduction.  Raises
+    TooLarge before allocating (_check_lp), and ValidationError on a grid
+    with a non-finite value or range, which no pivot could price.
     """
-    return _three_index(s, mu, nu, alpha.points, alpha)
+    X, Y, Z = mu.points, nu.points, alpha.points
+    shape = mu.size, nu.size, alpha.size
+    _check_lp(mu, nu, alpha)
+    red = reduce(s, X, Y, Z)
+    scale = red.grid_scale
+    if not np.isfinite(scale):
+        raise ValidationError("surplus grid must be finite, with a finite range")
+    start = np.ravel_multi_index(
+        np.transpose(_staircase(mu.weights, nu.weights, alpha.weights)[0]), shape)
+    most = PRICE_CAP * start.size
+    lift = solve_bipartite(red.values, mu, nu).potentials
+    seed = _residual_fold(s, X, Y, Z, lift.U, lift.V, np.zeros(alpha.size),
+                          -SEED_BAND * scale)
+    i, j, k = np.unravel_index(start, shape)
+    cells, first = np.unique(np.concatenate([start, seed.cells]), return_index=True)
+    vals = np.concatenate([s.value_batch(X[i], Y[j], Z[k]), seed.values])[first]
+
+    def price(U, V, W, basis):
+        found = _residual_fold(s, X, Y, Z, U, V, W, ENTER_TOL * scale, basis, most)
+        return found.cells, found.values, found.peak
+
+    return _cell_lp(red, cells, vals, start, price, mu, nu, alpha)
 
 
 @dataclass(frozen=True, eq=False)

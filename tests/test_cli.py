@@ -423,6 +423,27 @@ def test_non_finite_surplus_is_bad_input_on_three_index_routes(tmp_path, route, 
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", [["solve"], ["solve", "--method", "direct_lp"],
+                                   ["diagnose", "--method", "reduce_lift"]])
+def test_infinite_value_off_the_best_goods_is_bad_input(tmp_path, route, capsys):
+    # no pair's best good reaches the -inf cell, so sbar is finite but the
+    # grid's range is not: reduce_lift solved, and its diagnose wrote no JSON
+    values = np.zeros((2, 2, 2))
+    values[:, :, 1] = [[2.0, 1.0], [1.0, 2.0]]
+    values[0, 1, 0] = -np.inf
+    nodes = [0.0, 1.0]
+    (tmp_path / "surplus.json").write_text(json.dumps(
+        {"family": "tabulated", "values": values.tolist(), "x_nodes": nodes,
+         "y_nodes": nodes, "z_nodes": nodes}))  # -Infinity has no strict JSON form
+    measure_to_csv(DiscreteMeasure.uniform([[0.0], [1.0]]), tmp_path / "mu.csv")
+    code = main([*route, "--z-grid", "0:1:2", "--surplus", str(tmp_path / "surplus.json"),
+                 "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "mu.csv"),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "surplus grid must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.csv", "surplus.json"]
+
+
 def test_non_finite_coefficient_is_refused_without_warnings(tmp_path, capsys):
     # inf·0 in the grid printed two numpy RuntimeWarnings before the refusal
     (tmp_path / "surplus.json").write_text(

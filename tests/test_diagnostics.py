@@ -1038,6 +1038,26 @@ def test_stability_keeps_the_first_nan():
     assert np.isnan(rep.max_grid_residual) and not rep.stable
 
 
+def test_stability_of_an_infinite_range_is_not_certified():
+    # one -inf in a cell off every pair's best good: the residuals are
+    # finite, but tol, a fraction of the grid's range, is not; zero
+    # potentials leave a residual of 2 on the grid and on the support
+    values = np.zeros((2, 2, 2))
+    values[:, :, 1] = [[2.0, 1.0], [1.0, 2.0]]
+    values[0, 1, 0] = -np.inf
+    X, Y, Z = (np.arange(2, dtype=float)[:, None] for _ in range(3))
+    s = TabulatedSurplus(values, X[:, 0], Y[:, 0], Z[:, 0])
+    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    coupling = Coupling(np.array([[0, 0, 1], [1, 1, 1]]), [0.5, 0.5], mu, nu, z_points=Z)
+    zeros = DualPotentials(np.zeros(2), np.zeros(2))
+    rep = verify_stability(s, coupling, zeros)
+    assert rep.tol == np.inf
+    assert rep.max_grid_residual == 2.0 and not rep.stable
+    pair = Coupling(coupling.indices[:, :2], coupling.masses, mu, nu)
+    rep = verify_stability(values.max(axis=2) + values.min(axis=2), pair, zeros)
+    assert rep.tol == np.inf and not rep.stable
+
+
 @pytest.mark.parametrize("V", ["zero", "solve"])
 def test_splitting_sets_from_the_reduction_match_the_full_grid(V):
     s, X, Y, Z, res = _tied_table()

@@ -9,8 +9,6 @@ from hedonic_match.instances import random_instance
 from hedonic_match.reduction import (
     TIE_TOL,
     EmptyGrid,
-    c_transform_U,
-    c_transform_V,
     reduce,
     reduced_to_csv,
 )
@@ -133,9 +131,10 @@ def test_c_transform_recovers_plane_potentials_exactly():
     ys = _dyadic(0.0, 0.5, 9)
     zs = _dyadic(0.0, 1.0, 17)
     V = 0.5 * ys[:, 0] ** 2
-    U = c_transform_V(s, V, xs, ys, zs)
+    red = reduce(s, xs, ys, zs)
+    U = red.c_transform_V(V)
     np.testing.assert_array_equal(U, 0.5 * xs[:, 0] ** 2)
-    V_back = c_transform_U(s, U, xs, ys, zs)
+    V_back = red.c_transform_U(U)
     np.testing.assert_array_equal(V_back, V)
 
 
@@ -146,10 +145,11 @@ def test_c_transform_idempotent_after_one_round():
     ys = np.sort(rng.uniform(0, 1, 5))[:, None]
     zs = np.sort(rng.uniform(0, 1, 7))[:, None]
     V0 = rng.normal(size=5)
-    U1 = c_transform_V(s, V0, xs, ys, zs)
-    V1 = c_transform_U(s, U1, xs, ys, zs)
-    U2 = c_transform_V(s, V1, xs, ys, zs)
-    V2 = c_transform_U(s, U2, xs, ys, zs)
+    red = reduce(s, xs, ys, zs)
+    U1 = red.c_transform_V(V0)
+    V1 = red.c_transform_U(U1)
+    U2 = red.c_transform_V(V1)
+    V2 = red.c_transform_U(U2)
     # the triple transform collapses onto the single one
     np.testing.assert_allclose(U2, U1, atol=1e-12)
     np.testing.assert_allclose(V2, V1, atol=1e-12)
@@ -163,9 +163,9 @@ def test_c_transform_length_and_finiteness_checks():
     s = CounterexampleSurplus(0.5)
     xs, ys, zs = _dyadic(0.5, 1.0, 3), _dyadic(0.0, 0.5, 3), _dyadic(0, 1, 5)
     with pytest.raises(ValidationError):
-        c_transform_U(s, np.zeros(4), xs, ys, zs)
+        reduce(s, xs, ys, zs).c_transform_U(np.zeros(4))
     with pytest.raises(ValidationError):
-        c_transform_V(s, [0.0, np.inf, 0.0], xs, ys, zs)
+        reduce(s, xs, ys, zs).c_transform_V([0.0, np.inf, 0.0])
 
 
 def test_reduced_to_csv(tmp_path):
@@ -248,9 +248,10 @@ def test_blocked_c_transforms_match_the_full_grid(monkeypatch, market, rows):
     U = rng.normal(size=grid.shape[0])
     V = rng.normal(size=grid.shape[1])
     _block_rows(monkeypatch, rows, ys, zs)
-    assert (c_transform_V(s, V, xs, ys, zs).tobytes()
+    red = reduce(s, xs, ys, zs)
+    assert (red.c_transform_V(V).tobytes()
             == np.max(grid - V[None, :, None], axis=(1, 2)).tobytes())
-    assert (c_transform_U(s, U, xs, ys, zs).tobytes()
+    assert (red.c_transform_U(U).tobytes()
             == np.max(grid - U[:, None, None], axis=(0, 2)).tobytes())
 
 

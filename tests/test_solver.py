@@ -161,12 +161,13 @@ def test_hybrid_projection_attains_bipartite_optimum():
             bip.objective, abs=1e-9)
 
 
-def test_hybrid_zfree_ties_warn_and_lift_to_first_z():
+@pytest.mark.parametrize("method", ["reduce_lift", "direct_lp"])
+def test_hybrid_zfree_ties_warn_and_lift_to_first_z(method):
     s = BilinearSurplus(A=[[1.0]], B=[[0.0]], C=[[0.0]])
     mu = DiscreteMeasure.uniform([[0.1], [0.6]])
     nu = DiscreteMeasure.uniform([[0.2], [0.9]])
     zs = GridSpec(0.0, 1.0, 4).points()
-    res = solve_hybrid(s, mu, nu, zs, method="reduce_lift")
+    res = solve_hybrid(s, mu, nu, zs, method=method)
     assert res.warnings
     assert (res.coupling.indices[:, 2] == 0).all()
     assert res.reduction is not None

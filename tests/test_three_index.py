@@ -415,10 +415,11 @@ def test_each_factorisation_a_pivot_follows_forms_one_inverse(monkeypatch):
 
 @pytest.mark.parametrize("fixed", [False, True])
 def test_basis_matrix_follows_the_cell_rule(fixed):
-    shape = nx, ny, nz = (4, 5, 3)
-    m = nx + ny - 1 + (nz - 1 if fixed else 0)
+    # free z is the pair LP: shape (nx, ny, 1), whose cells have no Z row
+    shape = nx, ny, nz = (4, 5, 3 if fixed else 1)
+    m = nx + ny + nz - 2
     rng = np.random.default_rng(7)
-    last = [(nx - 1) * ny * nz + ny * nz - 1, ny * nz - 1, (ny - 1) * nz, nz - 1]
+    last = np.unique([(nx - 1) * ny * nz + ny * nz - 1, ny * nz - 1, (ny - 1) * nz, nz - 1])
     for trial in range(20):
         rest = rng.choice(np.setdiff1d(np.arange(nx * ny * nz), last), m - len(last),
                           replace=False)
@@ -427,11 +428,58 @@ def test_basis_matrix_follows_the_cell_rule(fixed):
         for r, t in enumerate(basis.tolist()):
             i, j, k = np.unravel_index(t, shape)
             rows = [i] + ([nx + j] if j < ny - 1 else [])
-            rows += [nx + ny - 1 + k] if fixed and k < nz - 1 else []
+            rows += [nx + ny - 1 + k] if k < nz - 1 else []
             want[rows, r] = 1.0
             # the entering column's lookup reads the same rows, X, Y, Z order
-            assert [row for row, on in solver._cell_rows(t, shape, fixed) if on] == rows
-        np.testing.assert_array_equal(solver._basis_matrix(basis, shape, fixed), want)
+            assert [row for row, on in solver._cell_rows(t, shape) if on] == rows
+        np.testing.assert_array_equal(solver._basis_matrix(basis, shape), want)
+
+
+def _northwest_corner(a, b):
+    """The two-axis northwest corner rule, on numpy floats, that the
+    staircase must reproduce bit for bit: the last row takes what is left
+    of each column."""
+    m, n = a.size, b.size
+    ra, rb = a.copy(), b.copy()
+    cells, masses = [], []
+    i = j = 0
+    for _ in range(m + n - 1):
+        take = rb[j] if i == m - 1 else min(ra[i], rb[j])
+        cells.append((i, j))
+        masses.append(float(take))
+        ra[i] -= take
+        rb[j] -= take
+        if i == m - 1:
+            j += 1
+        elif j == n - 1 or ra[i] == 0.0:
+            i += 1
+        else:
+            j += 1
+    return cells, masses
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), axes=st.sampled_from([2, 3]))
+def test_staircase_steps_one_axis_at_a_time_and_carries_the_marginals(data, axes):
+    weights = []
+    for _ in range(axes):
+        raw = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                                 min_size=1, max_size=12).filter(any))
+        weights.append(np.array(raw) / sum(raw))
+    cells, masses = solver._staircase(*weights)
+    if axes == 2:
+        assert (cells, masses) == _northwest_corner(*weights)
+    sizes = [w.size for w in weights]
+    assert len(cells) == len(masses) == sum(sizes) - (axes - 1)
+    path = np.array(cells)
+    assert path[0].tolist() == [0] * axes
+    steps = np.diff(path, axis=0)
+    assert np.all(steps >= 0) and np.all(steps.sum(axis=1) == 1)
+    assert min(masses) >= 0.0
+    for ax, w in enumerate(weights):
+        carried = np.zeros(w.size)
+        np.add.at(carried, path[:, ax], masses)
+        np.testing.assert_allclose(carried, w, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed, n", [(13, 18), (22, 18), (5, 24)])
