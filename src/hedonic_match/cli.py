@@ -155,7 +155,7 @@ def _cmd_solve(args) -> int:
     print(f"objective {_fmt(res.objective)}")
     print(f"duality_gap {_fmt(res.duality_gap)}")
     if res.degenerate_optimum:
-        print("degenerate optimum: other couplings attain the same value")
+        print("dual degenerate: another optimal coupling may exist")
     for w in res.warnings:
         print(f"warning: {w}")
     print(f"wrote solve_result.json, coupling.json, potentials.csv to {out}")

@@ -8,6 +8,7 @@ can distinguish bad input from solver trouble.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -403,7 +404,7 @@ def project(coupling: Coupling, axes) -> "DiscreteMeasure | Coupling":
 
 
 def coupling_objective(coupling: Coupling, surplus) -> float:
-    """Total surplus of a coupling.
+    """Total surplus of a coupling, as a correctly rounded sum.
 
     For arity 2, `surplus` is an (n_x, n_y) reward matrix.  For arity 3 it is
     a SurplusModel evaluated at the support points.
@@ -415,12 +416,12 @@ def coupling_objective(coupling: Coupling, surplus) -> float:
                 f"reward matrix {mat.shape} too small for coupling supports"
             )
         vals = mat[coupling.indices[:, 0], coupling.indices[:, 1]]
-        return float(np.dot(coupling.masses, vals))
-    xs = coupling.mu.points[coupling.indices[:, 0]]
-    ys = coupling.nu.points[coupling.indices[:, 1]]
-    zs = coupling.z_points[coupling.indices[:, 2]]
-    vals = surplus.value_batch(xs, ys, zs)
-    return float(np.dot(coupling.masses, vals))
+    else:
+        xs = coupling.mu.points[coupling.indices[:, 0]]
+        ys = coupling.nu.points[coupling.indices[:, 1]]
+        zs = coupling.z_points[coupling.indices[:, 2]]
+        vals = surplus.value_batch(xs, ys, zs)
+    return math.fsum(coupling.masses * vals)
 
 
 # --- CSV interchange -------------------------------------------------------

@@ -131,7 +131,8 @@ def random_instance(seed: int, n: int | None = None, nz: int | None = None,
     """A seeded random population over one of the surplus families.
 
     The family cycles with the seed unless given explicitly; sizes default
-    to n in 2..6 and nz in 2..4.  Identical seeds give identical instances.
+    to n in 2..6 and nz in 2..4, and a size below 1 is refused with
+    ValidationError.  Identical seeds give identical instances.
     """
     rng = np.random.default_rng(seed)
     if family is None:
@@ -143,6 +144,9 @@ def random_instance(seed: int, n: int | None = None, nz: int | None = None,
         n = 2 + seed % 5
     if nz is None:
         nz = 2 + (seed // 5) % 3
+    for name, size in (("n", n), ("nz", nz)):
+        if size < 1:
+            raise ValidationError(f"{name} must be at least 1, got {size}")
 
     if family == "bilinear":
         s = BilinearSurplus(

@@ -21,8 +21,9 @@ acceptance checks compare genuinely different code paths:
   LP, whose passes fold s − U ⊕ V ⊕ W block by block.  No grid is held.
 
 Both are maximizers, fully deterministic, and return vertex solutions so
-support-based diagnostics stay meaningful.  Every solve of a surplus model
-returns its grid's reduction over goods; max_over_alpha certifies its
+support-based diagnostics stay meaningful.  One epilogue, _solution, turns
+either's optimal basis into every SolveResult.  Every solve of a surplus
+model returns its grid's reduction over goods; max_over_alpha certifies its
 fixed-alpha LP from the reduce_lift duals and that reduction alone.
 """
 
@@ -201,10 +202,11 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
     index on ties) and leaves by Cunningham's rule, which keeps the tree
     strongly feasible: every zero-mass arc hangs with its row as the child.
     After a pivot only the potentials of the re-hung subtree are recomputed.
-    ENTER_TOL and DEGEN_TOL are relative to the reward range max R - min R.
+    ENTER_TOL is relative to the reward range max R - min R.
 
-    Returns (cells, masses, U, V, iterations, degenerate_flag) where cells
-    is the optimal basis (m+n-1 entries, some possibly at zero level).
+    Returns (basis, masses, U, V, iterations, top, scale): the m+n-1 basic
+    cells i·n + j ascending (some possibly at zero mass), their masses, the
+    potentials, the largest reduced cost off the basis and the range.
     """
     m, n = reward.shape
     scale = float(reward.max() - reward.min())
@@ -290,13 +292,11 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
             pot[w] = reward.item(row, col - m) - pot[p]
             stack += children[w]
 
-    cells = sorted(divmod(c, n) for c in cell[1:])
-    masses = _tree_masses(cells, a, b)
+    basis = sorted(cell[1:])
+    masses = _tree_masses([divmod(c, n) for c in basis], a, b)
     if masses.min() < -MASS_CLAMP:
         raise RuntimeError(f"negative basic mass {masses.min():.3e}")
-    masses = np.maximum(masses, 0.0)
-    degenerate = bool(red.max() >= -DEGEN_TOL * scale)
-    return cells, masses, U, V, iterations, degenerate
+    return np.array(basis), np.maximum(masses, 0.0), U, V, iterations, red.max(), scale
 
 
 def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
@@ -314,26 +314,39 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResu
     if abs(float(np.sum(mu.weights)) - float(np.sum(nu.weights))) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("mu and nu carry different total mass")
 
-    cells, masses, U, V, iterations, degen = _transport_simplex(
+    basis, masses, U, V, iterations, top, scale = _transport_simplex(
         reward, mu.weights, nu.weights)
+    return _solution(basis, masses, reward.flat[basis], (U, V), [mu, nu], top, scale,
+                     iterations, "transport_simplex")
 
+
+def _solution(basis, x, c, duals, measures, top, scale, iterations, method,
+              reduction=None) -> SolveResult:
+    """The epilogue of every LP solve: the SolveResult of an optimal basis
+    of flat cell ids over the measures' sizes, with masses x, values c and
+    duals U, V (and W with a third measure).  The duals are shifted so that
+    min U = 0; the objective Σ c·x and the dual value Σ weights·potentials
+    are correctly rounded sums, so no order of the basis or labelling of the
+    points shows in them.  The optimum is degenerate when top, the largest
+    reduced cost off the basis, is within DEGEN_TOL·scale of zero."""
+    U, V, *W = duals
     shift = float(U.min())
-    U = U - shift
-    V = V + shift
-    entries = [(i, j, w) for (i, j), w in zip(cells, masses) if w > 0.0]
-    coupling = Coupling.from_entries(entries, mu, nu,
-                                     marginal_tol=SOLVER_MARGINAL_TOL)
-    objective = float(sum(w * reward[i, j] for i, j, w in entries))
-    dual_value = float(mu.weights @ U + nu.weights @ V)
+    U, V = U - shift, V + shift
+    objective = math.fsum((c * x).tolist())
+    dual_value = math.fsum(np.concatenate(
+        [measure.weights * P for measure, P in zip(measures, (U, V, *W))]).tolist())
+    alpha = measures[2] if len(measures) == 3 else None
+    held = x > 0.0
+    index = np.unravel_index(basis[held], [measure.size for measure in measures])
+    coupling = Coupling.from_entries(
+        zip(*(t.tolist() for t in index), x[held].tolist()), *measures[:2],
+        z_points=None if alpha is None else alpha.points, alpha=alpha,
+        marginal_tol=SOLVER_MARGINAL_TOL)
     return SolveResult(
-        coupling=coupling,
-        objective=objective,
-        potentials=DualPotentials(U, V),
-        duality_gap=abs(objective - dual_value),
-        iterations=iterations,
-        degenerate_optimum=degen,
-        method="transport_simplex",
-    )
+        coupling=coupling, objective=objective, potentials=DualPotentials(U, V),
+        duality_gap=abs(objective - dual_value), iterations=iterations,
+        degenerate_optimum=bool(top >= -DEGEN_TOL * scale), method=method,
+        z_potential=None if alpha is None else W[0], reduction=reduction)
 
 
 # --- column generation -------------------------------------------------------
@@ -397,8 +410,9 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     not change), and the largest reduced cost off the basis.  The solve
     stops at the first pass that returns no cell; that pass certifies it.
 
-    Returns (basis, x_B, c_B, y, iterations, degenerate_flag): the basic
-    cells, their masses and values, and the row duals.
+    Returns (basis, x_B, c_B, y, iterations, top): the basic cells, their
+    masses and values, the row duals and the largest reduced cost off the
+    basis that the certifying pass found.
     """
     m = basis.size
     enter_tol = ENTER_TOL * scale
@@ -485,7 +499,7 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
 
     if float(xB.min()) < -MASS_CLAMP:
         raise RuntimeError(f"negative primal value {xB.min():.3e} at optimum")
-    return basis, np.maximum(xB, 0.0), cB, y, iterations, bool(top >= -DEGEN_TOL * scale)
+    return basis, np.maximum(xB, 0.0), cB, y, iterations, top
 
 
 def _check_lp(*measures: DiscreteMeasure) -> None:
@@ -508,37 +522,16 @@ def _check_lp(*measures: DiscreteMeasure) -> None:
 def _cell_lp(red: ReducedSurplus, cells, vals, start, price, mu: DiscreteMeasure,
              nu: DiscreteMeasure, alpha: DiscreteMeasure | None = None) -> SolveResult:
     """_cell_simplex on the LP over couplings of mu, nu and, when given,
-    alpha (the pair LP without it), then the epilogue: the duals shifted so
-    that min U = 0, the objective as a correctly rounded sum and the gap to
-    the dual value.  Tolerances are fractions of the reduction's range."""
+    alpha (the pair LP without it), with tolerances as fractions of the
+    reduction's range, then _solution."""
     measures = [mu, nu] if alpha is None else [mu, nu, alpha]
     shape = (mu.size, nu.size, 1 if alpha is None else alpha.size)
     rhs = np.concatenate([mu.weights] + [measure.weights[:-1] for measure in measures[1:]])
-    basis, x, c, y, iterations, degen = _cell_simplex(cells, vals, rhs, start, shape,
-                                                      red.grid_scale, price)
-    U, V, W = _duals(y, mu.size, nu.size)
-    shift = float(U.min())
-    U -= shift
-    V += shift
-    # the sum of the products, correctly rounded: no order of the basis shows
-    objective = math.fsum(c * x)
-    dual_value = float(sum(measure.weights @ P for measure, P in zip(measures, (U, V, W))))
-    held = x > 0.0
-    index = np.unravel_index(basis[held], shape)[:len(measures)]
-    entries = zip(*(t.tolist() for t in index), x[held].tolist())
-    return SolveResult(
-        coupling=Coupling.from_entries(
-            entries, mu, nu, z_points=None if alpha is None else alpha.points,
-            alpha=alpha, marginal_tol=SOLVER_MARGINAL_TOL),
-        objective=objective,
-        potentials=DualPotentials(U, V),
-        duality_gap=abs(objective - dual_value),
-        iterations=iterations,
-        degenerate_optimum=degen,
-        method="direct_lp" if alpha is None else "tripartite_fixed_alpha",
-        z_potential=None if alpha is None else W,
-        reduction=red,
-    )
+    basis, x, c, y, iterations, top = _cell_simplex(cells, vals, rhs, start, shape,
+                                                    red.grid_scale, price)
+    method = "direct_lp" if alpha is None else "tripartite_fixed_alpha"
+    return _solution(basis, x, c, _duals(y, mu.size, nu.size), measures, top,
+                     red.grid_scale, iterations, method, red)
 
 
 def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResult:
@@ -657,9 +650,11 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     DRIFT_TOL of the grid's range plus the rounding of sums of that
     magnitude, or RuntimeError.  That LP is a restriction of the free-z LP
     that keeps the free-z optimum, so its optimum is degenerate only where
-    the free-z one is or where the lift chose among tied goods.  A good that
-    repeats a point counts once, at its first copy: alpha is a measure, so
-    its points are distinct, and a repeat never changes the optimum.
+    the free-z one is or where the lift chose among tied goods.  The
+    certificate restates the free-z result, objective and gap included, with
+    W = 0, no pivots and no warnings.  A good that repeats a point counts
+    once, at its first copy: alpha is a measure, so its points are distinct,
+    and a repeat never changes the optimum.
     """
     z_pts = as_point_array(zs)
     first: dict = {}
@@ -688,17 +683,10 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
     magnitude = max(red.values.max(), -red.lowest, np.abs(U).max(), np.abs(V).max())
     bound = DRIFT_TOL * scale + (mu.size + nu.size + 1) * np.finfo(float).eps * magnitude
     residual = float(red.residual(U, V).max())
-    fixed = SolveResult(
-        coupling=replace(res.coupling, alpha=alpha),
-        objective=primal,
-        potentials=res.potentials,
-        duality_gap=abs(primal - dual),
-        iterations=0,
-        degenerate_optimum=res.degenerate_optimum or bool(red.tie[i, j].any()),
-        method="tripartite_fixed_alpha",
-        z_potential=np.zeros(alpha.size),
-        reduction=red,
-    )
+    fixed = replace(res, coupling=replace(res.coupling, alpha=alpha), iterations=0,
+                    degenerate_optimum=res.degenerate_optimum or bool(red.tie[i, j].any()),
+                    method="tripartite_fixed_alpha", z_potential=np.zeros(alpha.size),
+                    warnings=())
     if max(residual, abs(primal - res.objective), abs(primal - dual)) > bound:
         raise RuntimeError(
             f"fixed-alpha certificate failed: dual residual {residual!r}, primal "

@@ -475,6 +475,35 @@ def test_fixed_alpha_solve_survives_a_drifting_pivot_element(tmp_path):
     assert load_json(tmp_path / "solve_result.json")["method"] == "tripartite_fixed_alpha"
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-2"), ("--nz", "0")])
+def test_random_instance_refuses_an_empty_size(tmp_path, capsys, flag, value):
+    # --n 0 exited 2 on numpy's "zero-size array to reduction operation"
+    code = main(["solve", "--random-instance", "3", flag, value, "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert f"{flag[2:]} must be at least 1, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["reduce_lift", "direct_lp"])
+def test_a_degenerate_dual_does_not_claim_another_optimum(tmp_path, capsys, method):
+    # the diagonal, 7/3, is the only optimum (the next best coupling is
+    # worth 5/3), but the dual is degenerate and the flag is set
+    values = [[[5.0], [3.0], [3.0]], [[1.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]]]
+    nodes = [0.0, 1.0, 2.0]
+    dump_json({"family": "tabulated", "values": values, "x_nodes": nodes,
+               "y_nodes": nodes, "z_nodes": [0.0]}, tmp_path / "surplus.json")
+    measure_to_csv(DiscreteMeasure.uniform([[x] for x in nodes]), tmp_path / "mu.csv")
+    code = main(["solve", "--method", method, "--z-grid", "0:0:1",
+                 "--surplus", str(tmp_path / "surplus.json"), "--mu", str(tmp_path / "mu.csv"),
+                 "--nu", str(tmp_path / "mu.csv"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "objective 2.333333333333333" in out
+    assert "other couplings attain the same value" not in out
+    assert "dual degenerate: another optimal coupling may exist" in out
+    assert load_json(tmp_path / "solve_result.json")["degenerate_optimum"] is True
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("HEDONIC_MATCH_OUT", str(target))

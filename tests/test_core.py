@@ -191,6 +191,22 @@ def test_coupling_objective_arity2_uses_reward_matrix():
     assert coupling_objective(c, reward) == pytest.approx(2.0)
 
 
+def test_coupling_objective_bits_do_not_depend_on_labels():
+    # a coupling keeps its entries in label order, so only a correctly
+    # rounded sum gives the same bits under every labelling
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(5, 41))
+        reward = 10.0 ** rng.uniform(-3.0, 3.0) * rng.uniform(size=(n, n))
+        sigma, pr, pc = rng.permutation(n), rng.permutation(n), rng.permutation(n)
+        mu = DiscreteMeasure.uniform(np.arange(n, dtype=float)[:, None])
+        c = Coupling(np.column_stack([np.arange(n), sigma]), mu.weights, mu, mu)
+        # row pr[a] is now row a and column pc[b] column b
+        moved = Coupling(np.column_stack([np.argsort(pr), np.argsort(pc)[sigma]]),
+                         mu.weights, mu, mu)
+        assert coupling_objective(moved, reward[pr][:, pc]) == coupling_objective(c, reward)
+
+
 def test_measure_csv_round_trip(tmp_path):
     m = DiscreteMeasure(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
                         np.array([0.2, 0.3, 0.5]))

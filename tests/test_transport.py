@@ -11,6 +11,7 @@ from scipy.sparse import coo_matrix
 from hedonic_match.core import DiscreteMeasure
 from hedonic_match.instances import random_instance
 from hedonic_match.solver import solve_bipartite, solve_hybrid
+from hedonic_match.surplus import TabulatedSurplus
 
 
 def _measure(weights):
@@ -104,6 +105,32 @@ def test_objective_is_invariant_under_permutation_scale_and_shift(
     expected = c * base.objective + c * shift
     span = c * float(reward.max() - reward.min())
     assert abs(moved.objective - expected) <= 1e-12 * max(abs(expected), span)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_objective_bits_do_not_depend_on_labels(seed):
+    # The objective is the correctly rounded sum of the basic products, so a
+    # relabelling, which only moves them to other places in the basis,
+    # leaves every bit of it.  Uniform weights keep the masses exact; the
+    # gap is not asserted, since U and V round along different trees.
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        n = int(rng.integers(5, 41))
+        pr, pc = rng.permutation(n), rng.permutation(n)
+        reward = 10.0 ** rng.uniform(-3.0, 3.0) * rng.uniform(size=(n, n))
+        mu = _uniform(n)
+        assert (solve_bipartite(reward[pr][:, pc], mu, mu).objective
+                == solve_bipartite(reward, mu, mu).objective)
+        table = 10.0 ** rng.uniform(-3.0, 3.0) * rng.uniform(size=(n, n, 2))
+        nodes = np.arange(n, dtype=float)
+        s = TabulatedSurplus(table, nodes, nodes, [0.0, 1.0])
+
+        def hybrid(rows, cols):
+            return solve_hybrid(s, DiscreteMeasure.uniform(rows[:, None]),
+                                DiscreteMeasure.uniform(cols[:, None]), [[0.0], [1.0]],
+                                method="reduce_lift").objective
+
+        assert hybrid(nodes[pr], nodes[pc]) == hybrid(nodes, nodes)
 
 
 @pytest.mark.parametrize("m, n", [(40, 40), (30, 45)])
