@@ -7,12 +7,14 @@ byte-deterministic for identical inputs.
 Exit codes: 0 success, 1 reproduction-check failure, 2 bad input, 3
 infeasible marginals, 4 a simplex exceeded its pivot budget.  main() only
 parses arguments, dispatches and maps exceptions to exit codes; it changes no
-process-wide setting.
+process-wide setting.  A process builds one parser, at the first main() call
+(not at import), and every later call parses with the same one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -290,7 +292,10 @@ def _cmd_brute_force(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; parse_args leaves
+    it as it was, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="hedonic-match",
         description="Stable-matching solver and diagnostics for discrete "

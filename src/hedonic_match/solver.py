@@ -9,9 +9,11 @@ its argmax good once.  The two engines stay separate, so that the dual-route
 acceptance checks compare genuinely different code paths:
 
 - a primal network simplex on the bipartite transportation polytope
-  (northwest-corner start, largest-reduced-cost entering cell, Cunningham's
-  strongly feasible leaving rule, potentials updated on the re-hung subtree
-  only), reduce_lift's engine;
+  (northwest-corner start, largest-reduced-cost entering cell found by one
+  full pass over the m×n rewards per pivot, Cunningham's strongly feasible
+  leaving rule, potentials updated on the re-hung subtree only, and kept,
+  with the basic cells, in arrays the pass reads as they are), reduce_lift's
+  engine;
 - column generation: a revised simplex over a working set of cells (Dantzig
   pricing over the set, the largest pivot element on ratio ties, Bland's
   rule after a run of degenerate pivots, B⁻¹ formed only once a pivot needs
@@ -47,6 +49,7 @@ from .core import (
     project,
 )
 from .reduction import ReducedSurplus, _residual_fold, reduce
+from .surplus import _GRID_BLOCK_CELLS
 
 # ENTER_TOL and DEGEN_TOL are fractions of the reward range; RATIO_TOL and
 # MASS_CLAMP are on the unit-mass scale.
@@ -126,7 +129,8 @@ class SolveResult:
 # The basis is a spanning tree on m + n nodes, rows 0..m-1 and columns
 # m..m+n-1, where basic cell (i, j) is the arc between nodes i and m + j.
 # It hangs from row 0 and is kept as lists indexed by node: the parent, the
-# depth, the mass on the arc to the parent and that arc's flat cell index.
+# depth and the mass on the arc to the parent; that arc's flat cell index
+# and the node's potential are kept in arrays, which pricing reads.
 
 def _staircase(*weights: np.ndarray) -> tuple[list[tuple[int, ...]], list[float]]:
     """Northwest-corner start on two or three axes: a path of Σn − (axes−1)
@@ -204,6 +208,12 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
     After a pivot only the potentials of the re-hung subtree are recomputed.
     ENTER_TOL is relative to the reward range max R - min R.
 
+    Pricing is one full pass over the m×n rewards per pivot, into a buffer
+    allocated once per solve: reward − U − V, the basic cells masked, then
+    its argmax.  It reads two arrays that the pivots keep current in place:
+    pi, the potentials, written beside the list pot, and basic, the basic
+    cells, basic[w - 1] that of node w's arc.
+
     Returns (basis, masses, U, V, iterations, top, scale): the m+n-1 basic
     cells i·n + j ascending (some possibly at zero mass), their masses, the
     potentials, the largest reduced cost off the basis and the range.
@@ -225,18 +235,21 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
         children[par].append(child)
     assert all(flow[c] > 0.0 or a[parent[c]] == 0.0 or b[c - m] == 0.0
                for c in range(m, m + n)), "start is not strongly feasible"
+    pi = np.array(pot)  # pot as an array, written beside it from here on
+    basic = np.array(cell[1:], dtype=np.intp)  # basic[w - 1]: the cell of w's arc
 
     iterations = 0
     max_iter = 2000 + 50 * m * n
+    enter_tol = ENTER_TOL * scale
+    U, V = pi[:m], pi[m:]  # views: they follow pi
+    U_col = U[:, None]
     red = np.empty_like(reward)  # reused: one allocation per solve, not per pivot
     while True:
-        pi = np.array(pot)
-        U, V = pi[:m], pi[m:]
-        np.subtract(reward, U[:, None], out=red)
-        red -= V[None, :]
-        np.put(red, cell[1:], -np.inf)
-        t = int(np.argmax(red))
-        if red.flat[t] <= ENTER_TOL * scale:
+        np.subtract(reward, U_col, out=red)
+        red -= V
+        red.put(basic, -np.inf)
+        t = int(red.argmax())
+        if red.item(t) <= enter_tol:
             break
         iterations += 1
         if iterations > max_iter:
@@ -281,7 +294,7 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
             children[par].append(w)
             parent[w] = par
             flow[w], f = f, flow[w]
-            cell[w], c = c, cell[w]
+            basic[w - 1], c = c, basic[w - 1]
             par = w
         stack = [path[0]]
         while stack:
@@ -289,10 +302,10 @@ def _transport_simplex(reward: np.ndarray, a: np.ndarray, b: np.ndarray):
             p = parent[w]
             depth[w] = depth[p] + 1
             row, col = (w, p) if w < m else (p, w)
-            pot[w] = reward.item(row, col - m) - pot[p]
+            pot[w] = pi[w] = reward.item(row, col - m) - pot[p]
             stack += children[w]
 
-    basis = sorted(cell[1:])
+    basis = sorted(basic.tolist())
     masses = _tree_masses([divmod(c, n) for c in basis], a, b)
     if masses.min() < -MASS_CLAMP:
         raise RuntimeError(f"negative basic mass {masses.min():.3e}")
@@ -303,13 +316,16 @@ def solve_bipartite(cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveResu
     """Maximize sum of cost[i,j]·gamma_ij over couplings of (mu, nu).
 
     ENTER_TOL and DEGEN_TOL are fractions of the reward range max - min, so
-    they mean the same at every scale and shift of the rewards.
+    they mean the same at every scale and shift of the rewards.  TooLarge
+    when the pricing buffer, eight bytes a cell, exceeds LP_BYTES_LIMIT.
     """
     reward = np.asarray(cost, dtype=float)
     if reward.shape != (mu.size, nu.size):
         raise DimensionMismatch(
             f"cost shape {reward.shape}, expected ({mu.size}, {nu.size})"
         )
+    _check_bytes(8 * reward.size, f"{mu.size}x{nu.size} transport problem",
+                 "its pricing buffer")
     _require_finite(reward, "cost matrix")
     if abs(float(np.sum(mu.weights)) - float(np.sum(nu.weights))) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("mu and nu carry different total mass")
@@ -502,6 +518,14 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     return basis, np.maximum(xB, 0.0), cB, y, iterations, top
 
 
+def _check_bytes(need: int, problem: str, parts: str) -> None:
+    """TooLarge, naming the estimate in MiB, when need > LP_BYTES_LIMIT."""
+    if need > LP_BYTES_LIMIT:
+        raise TooLarge(
+            f"the {problem} needs about {need / 2**20:,.0f} MiB for {parts} "
+            f"(limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+
+
 def _check_lp(*measures: DiscreteMeasure) -> None:
     """Before anything is allocated: TooLarge when the reduction, B, B⁻¹
     and a working set of a cell per pair would exceed LP_BYTES_LIMIT, and
@@ -509,11 +533,8 @@ def _check_lp(*measures: DiscreteMeasure) -> None:
     sizes = [measure.size for measure in measures]
     m = sum(sizes) - len(sizes) + 1
     # three words a pair for the reduction, six a cell for the working set
-    need = 8 * (9 * sizes[0] * sizes[1] + 2 * m * m)
-    if need > LP_BYTES_LIMIT:
-        raise TooLarge(
-            f"the {'x'.join(map(str, sizes))} LP needs about {need / 2**20:,.0f} MiB for its "
-            f"reduction, working set, B and B^-1 (limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+    _check_bytes(8 * (9 * sizes[0] * sizes[1] + 2 * m * m),
+                 f"{'x'.join(map(str, sizes))} LP", "its reduction, working set, B and B^-1")
     totals = [float(np.sum(measure.weights)) for measure in measures]
     if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
         raise InfeasibleMarginals("marginals carry different total mass")
@@ -557,6 +578,16 @@ def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> S
 
 # --- hybrid and tripartite solves -------------------------------------------
 
+def _reduce_lift_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
+    """An estimate, from above, of the most the reduce_lift route holds: the
+    reduction (26 bytes a pair), _fold's temporaries (the tie test's eight
+    bytes a pair, the goods Z[argmax] and their box tests' 11·dz, and a grid
+    block with its kernel's, four words a cell of the larger of
+    _GRID_BLOCK_CELLS and one x row) and the transport simplex's pricing
+    buffer (eight bytes a pair)."""
+    return nx * ny * (26 + 8 + 11 * dz + 8) + 32 * max(_GRID_BLOCK_CELLS, ny * nz)
+
+
 def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
                  method: str = "reduce_lift") -> SolveResult:
     """Maximize total surplus over couplings with X,Y marginals fixed and the
@@ -565,16 +596,21 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
     Both methods take one route: reduce() once, solve the pair LP on sbar,
     then lift each matched pair to its argmax good, with a warning when
     some matched pair's best good ties with another.  reduce_lift solves
-    the pair LP by the transport simplex, direct_lp by column generation
-    (refused with TooLarge before the reduction when too large).  The two
-    routes agree in objective (checked by the acceptance suite).  A grid
-    with a non-finite value or range is refused with ValidationError.
+    the pair LP by the transport simplex, direct_lp by column generation.
+    The two routes agree in objective (checked by the acceptance suite).
+    Each is refused with TooLarge before the reduction when its estimate
+    (_check_lp, _reduce_lift_bytes) exceeds LP_BYTES_LIMIT.  A grid with a
+    non-finite value or range is refused with ValidationError.
     """
     z_pts = as_point_array(zs)
     if method not in ("reduce_lift", "direct_lp"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "direct_lp":
         _check_lp(mu, nu)
+    else:
+        _check_bytes(_reduce_lift_bytes(mu.size, nu.size, *z_pts.shape),
+                     f"{mu.size}x{nu.size} reduce_lift solve over {z_pts.shape[0]} goods",
+                     "its reduction, fold and pricing buffer")
     red = reduce(s, mu.points, nu.points, z_pts)
     if not np.isfinite(red.grid_scale):
         raise ValidationError("surplus grid must be finite, with a finite range")

@@ -563,3 +563,63 @@ def test_main_changes_no_malloc_setting(tmp_path):
         return run.stdout.splitlines()[-1]
 
     assert probe(str(tmp_path)) == probe()
+
+
+def _parser_run(argv, out):
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_calls_in_one_process_share_the_parser_and_keep_their_own_defaults(tmp_path):
+    market = ["--random-instance", "1", "--n", "12", "--nz", "5"]
+    calls = [["solve", *market, "--method", "direct_lp"], ["solve", *market],
+             ["diagnose", *market, "--radius", "0.1"], ["diagnose", *market]]
+    together = [_parser_run(argv, tmp_path / f"together{t}") for t, argv in enumerate(calls)]
+    assert cli.build_parser() is cli.build_parser()
+    for t, argv in enumerate(calls):
+        cli.build_parser.cache_clear()  # the call's own parser, as in a fresh process
+        assert together[t] == _parser_run(argv, tmp_path / f"alone{t}")
+    methods = [json.loads(together[t]["solve_result.json"])["method"] for t in (0, 1)]
+    assert methods == ["direct_lp", "reduce_lift"]
+    reports = [json.loads(together[t]["diagnostics.json"]) for t in (2, 3)]
+    assert [r["solve"]["method"] for r in reports] == ["direct_lp", "direct_lp"]
+    assert [r["support_dimension"]["radius"] for r in reports] == [0.1, 0.25]
+
+
+# Counts the argument parsers built by the import and by two main() calls.
+_PARSER_COUNT = """
+import argparse, contextlib, io, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from hedonic_match import cli
+counts = [built]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["solve", "--random-instance", "1", "--out", sys.argv[1]])
+    counts.append(built)
+print(*counts)
+"""
+
+
+def test_import_builds_no_parser_and_main_builds_one(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _PARSER_COUNT, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    at_import, first, second = map(int, run.stdout.split())
+    assert at_import == 0
+    assert first > 0
+    assert second == first
+
+
+def test_a_reduce_lift_solve_too_large_for_the_limit_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", 1 << 20)
+    code = main(["solve", "--random-instance", "1", "--n", "200", "--nz", "5",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    assert "MiB" in capsys.readouterr().err
+    assert not (tmp_path / "solve_result.json").exists()

@@ -1,6 +1,9 @@
 """The bipartite transport engine against scipy oracles, across scales,
 shapes, skewed weights and degenerate rewards."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from scipy.sparse import coo_matrix
 
 from hedonic_match.core import DiscreteMeasure
 from hedonic_match.instances import random_instance
-from hedonic_match.solver import solve_bipartite, solve_hybrid
+from hedonic_match import solver
+from hedonic_match.solver import TooLarge, solve_bipartite, solve_hybrid
 from hedonic_match.surplus import TabulatedSurplus
 
 
@@ -161,3 +165,79 @@ def test_hybrid_bilinear_n60_finishes():
         _linprog_value(values, inst.mu.weights, inst.nu.weights), rel=1e-9)
     span = float(values.max() - values.min())
     assert _dual_infeasibility(values, res) <= 1e-9 * span
+
+
+def _pinned_market(seed, m, n, kind, top):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(size=(m, n)), _uniform(m), _uniform(n)
+    if kind == "skewed":
+        return (rng.normal(size=(m, n)), _measure(np.exp(2.0 * rng.normal(size=m))),
+                _measure(np.geomspace(1.0, 1e-3, n)))
+    reward = rng.integers(0, top, size=(m, n)).astype(float)  # integers: ties
+    return (reward, _measure(rng.integers(1, 4, size=m)),
+            _measure(rng.integers(1, 4, size=n)))
+
+
+# (seed, m, n, rewards, integer range): iterations and the float.hex of the
+# objective, of fsum(U) and of fsum(V), as the engine's pivot path gives them
+@pytest.mark.parametrize("market, iterations, objective, sum_u, sum_v", [
+    ((0, 30, 30, "uniform", 0), 140,
+     "0x1.e2ee470f3ac10p-1", "0x1.6a524c17f451bp+1", "0x1.9775191b488acp+4"),
+    ((1, 50, 20, "uniform", 0), 139,
+     "0x1.e1666e7731762p-1", "0x1.1ca025cd4e120p+3", "0x1.e7e6615c7832cp+3"),
+    ((2, 40, 40, "skewed", 0), 143,
+     "0x1.2db790ed14096p+0", "0x1.5802c3cc3e225p+5", "0x1.63e95781a2fa7p+5"),
+    ((3, 17, 61, "skewed", 0), 103,
+     "0x1.168968eff9ca1p+0", "0x1.699a41ff4614dp+4", "0x1.ea07f0a17f924p+5"),
+    ((4, 45, 45, "ties", 12), 227,
+     "0x1.5ddc46bb5367bp+3", "0x1.6000000000000p+5", "0x1.c100000000000p+8"),
+    ((5, 64, 25, "ties", 4), 103,
+     "0x1.8000000000000p+1", "0x0.0p+0", "0x1.2c00000000000p+6"),
+    ((6, 12, 80, "ties", 30), 174,
+     "0x1.a8f227a29ce97p+4", "0x1.a000000000000p+4", "0x1.f340000000000p+10"),
+    ((7, 60, 60, "ties", 3), 115,
+     "0x1.0000000000000p+1", "0x0.0p+0", "0x1.e000000000000p+6"),
+])
+def test_pivot_path_is_pinned(market, iterations, objective, sum_u, sum_v):
+    # a change to pricing, ties or the tree update shows as another count
+    # or other bits; every market is below the block-search floor m·n < 4096
+    res = solve_bipartite(*_pinned_market(*market))
+    assert res.iterations == iterations
+    assert res.objective.hex() == objective
+    assert math.fsum(res.potentials.U.tolist()).hex() == sum_u
+    assert math.fsum(res.potentials.V.tolist()).hex() == sum_v
+
+
+def test_reduce_lift_just_over_the_limit_is_refused_before_allocating(monkeypatch):
+    inst = random_instance(0, n=400, nz=5, family="bilinear")
+    need = solver._reduce_lift_bytes(400, 400, 5, 1)
+    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="MiB"):
+            solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < need // 100
+    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", need)
+    assert solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points).objective
+
+
+@pytest.mark.parametrize("family", ["bilinear", "expcos"])  # goods of d = 1 and 2
+def test_reduce_lift_estimate_covers_its_peak(family):
+    inst = random_instance(0, n=400, nz=5, family=family)
+    tracemalloc.start()
+    try:
+        solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= solver._reduce_lift_bytes(400, 400, *inst.z_points.shape)
+
+
+def test_transport_buffer_over_the_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", 8 * 30 * 40 - 1)
+    with pytest.raises(TooLarge, match="MiB"):
+        solve_bipartite(np.zeros((30, 40)), _uniform(30), _uniform(40))
