@@ -49,6 +49,8 @@ from .serialize import dump_json, load_json, potentials_to_csv
 from .solver import (
     PivotBudgetExceeded,
     SolverInfeasible,
+    _check_bytes,
+    _reduce_bytes,
     brute_force,
     solve_hybrid,
     solve_tripartite_fixed_alpha,
@@ -260,6 +262,8 @@ def _cmd_reduce(args) -> int:
     xs = _axis_points(args.x_grid, args.x_points, "x")
     ys = _axis_points(args.y_grid, args.y_points, "y")
     zs = _axis_points(args.z_grid, args.z_points, "z")
+    _check_bytes(_reduce_bytes(len(xs), len(ys), *zs.shape),
+                 f"{len(xs)}x{len(ys)} reduction over {len(zs)} goods", "its values and fold")
     red = reduce_surplus(s, xs, ys, zs)
     if not np.isfinite(red.grid_scale):
         raise ValidationError("surplus grid must be finite, with a finite range")

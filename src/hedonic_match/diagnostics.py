@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clusters import gradient_clusters
 from .core import Coupling, DualPotentials, ValidationError, as_point_array, grid_scale
 from .reduction import _residual_fold, reduce
 from .surplus import (
@@ -482,28 +483,6 @@ def _close_after(G: np.ndarray, a: int, tol: float) -> np.ndarray:
     return a + 1 + np.flatnonzero(dist <= tol)
 
 
-def _cluster_by_gradient(grads, grad_tol: float) -> list[list[int]]:
-    """Transitive closure of the relation ‖g_a − g_b‖∞ ≤ grad_tol over the
-    rows of grads: ascending clusters, ordered by their smallest row.
-
-    Each cluster grows from the smallest row not yet taken; every row it
-    takes is compared with all rows still untaken in one vectorised step.
-    """
-    G = np.asarray(grads, dtype=float)
-    rest = np.arange(G.shape[0])  # the rows not yet taken, ascending
-    clusters = []
-    while rest.size:
-        cluster, rest = [int(rest[0])], rest[1:]
-        for a in cluster:  # grows while it is walked
-            if not rest.size:
-                break
-            near = np.abs(G[rest] - G[a]).max(axis=-1) <= grad_tol
-            cluster += rest[near].tolist()
-            rest = rest[~near]
-        clusters.append(sorted(cluster))
-    return clusters
-
-
 def sample_splitting_sets(s, xs, V, ys, zs, reduced=None):
     """Extract z-trivial splitting sets and test the sampled twist.
 
@@ -521,8 +500,11 @@ def sample_splitting_sets(s, xs, V, ys, zs, reduced=None):
 
     The sampled twist fails when one gradient cluster contains two members
     whose (y,z) points differ by more than POINT_SEP_TOL; the report carries
-    the witness.  Gradients cluster within 1e-6 of the largest gradient
-    entry of the slice.
+    the first such cluster, in (x, smallest member) order, as the witness.
+    Gradients cluster within 1e-6 of the largest gradient entry of the
+    slice, every slice at once: gradient_clusters runs lockstep rounds, each
+    comparing one walked member of every slice still growing with that
+    slice's unclustered members.  Sizes and witness come from its labels.
     """
     X = as_point_array(xs)
     Y = as_point_array(ys)
@@ -544,54 +526,52 @@ def sample_splitting_sets(s, xs, V, ys, zs, reduced=None):
         blocks.append(np.column_stack([at[a], k]))
     # the members' buyer gradients in one batch
     idx = np.concatenate(blocks)
-    all_grads = s._grad(X[idx[:, 0]], Y[idx[:, 1]], Z[idx[:, 2]])[0]
+    G = s._grad(X[idx[:, 0]], Y[idx[:, 1]], Z[idx[:, 2]])[0]
     bounds = np.searchsorted(idx[:, 0], np.arange(X.shape[0] + 1))
+    held = np.flatnonzero(bounds[1:] > bounds[:-1])  # the buyers with members
+    peak = np.zeros(X.shape[0])
+    peak[held] = np.maximum.reduceat(np.abs(G).max(axis=-1), bounds[held])
+    label = gradient_clusters(G, bounds, 1e-6 * peak)
 
-    samples = []
+    # clusters in (x, smallest row) order: sizes, buyers and spreads
+    sizes = np.bincount(label)
+    by = np.argsort(label, kind="stable")
+    heads = sizes.cumsum() - sizes
+    coords = np.hstack([Y[idx[by, 1]], Z[idx[by, 2]]])
+    # the largest pairwise ‖c_a − c_b‖∞ is the widest coordinate range
+    spread = (np.maximum.reduceat(coords, heads)
+              - np.minimum.reduceat(coords, heads)).max(axis=-1)
+    owner = idx[by[heads], 0]
+    split = np.flatnonzero((sizes > 1) & (spread > POINT_SEP_TOL))
     witness = None
-    cluster_sizes = []
-    for ix in range(X.shape[0]):
-        lo, hi = bounds[ix], bounds[ix + 1]
-        js, ks = idx[lo:hi, 1], idx[lo:hi, 2]
-        grads = all_grads[lo:hi]
-        points = [(Y[j], Z[k]) for j, k in zip(js, ks)]
-        samples.append(SplittingSetSample(
-            x=X[ix], shift=float(shifts[ix]),
-            member_indices=tuple(map(tuple, idx[lo:hi, 1:].tolist())),
-            member_points=tuple(points),
-            gradients=tuple(grads),
-            tol=tol,
-        ))
-        if hi == lo:
-            continue
-        clusters = _cluster_by_gradient(grads, 1e-6 * float(np.max(np.abs(grads))))
-        cluster_sizes.append(sorted(len(c) for c in clusters))
-        if witness is not None:
-            continue
-        for cluster in clusters:
-            if len(cluster) < 2:
-                continue
-            # the largest pairwise ‖c_a − c_b‖∞ is the widest coordinate range
-            coords = np.hstack([Y[js[cluster]], Z[ks[cluster]]])
-            spread = float(np.max(np.ptp(coords, axis=0)))
-            if spread > POINT_SEP_TOL:
-                witness = {
-                    "x": X[ix].tolist(),
-                    "members": [{"y": points[a][0].tolist(),
-                                 "z": points[a][1].tolist()} for a in cluster],
-                    "gradient": grads[cluster[0]].tolist(),
-                    "spread": spread,
-                }
-                break
+    if split.size:
+        c = int(split[0])
+        rows = by[heads[c]:heads[c] + sizes[c]]
+        witness = {
+            "x": X[owner[c]].tolist(),
+            "members": [{"y": Y[j].tolist(), "z": Z[k].tolist()}
+                        for j, k in idx[rows, 1:].tolist()],
+            "gradient": G[rows[0]].tolist(),
+            "spread": float(spread[c]),
+        }
+    ranked = sizes[np.lexsort((sizes, owner))].tolist()
+    ends = np.searchsorted(owner, held, side="right").tolist()
+    cluster_sizes = [ranked[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+    # the samples, from lists made once
+    jk = idx[:, 1:].tolist()
+    Yr, Zr, Gr = list(Y), list(Z), list(G)
+    members = list(map(tuple, jk))
+    points = [(Yr[j], Zr[k]) for j, k in jk]
+    b = bounds.tolist()
+    samples = [SplittingSetSample(x=x, shift=shift, member_indices=tuple(members[lo:hi]),
+                                  member_points=tuple(points[lo:hi]),
+                                  gradients=tuple(Gr[lo:hi]), tol=tol)
+               for x, shift, lo, hi in zip(X, shifts.tolist(), b, b[1:])]
 
     details = {"n_x_samples": X.shape[0], "cluster_sizes": cluster_sizes}
-    if witness is not None:
-        report = TwistReport(criterion="TzSS-sampled", verdict="fails",
-                             witness=witness, details=details)
-    else:
-        report = TwistReport(criterion="TzSS-sampled", verdict="holds",
-                             details=details)
-    return samples, report
+    return samples, TwistReport(criterion="TzSS-sampled", witness=witness, details=details,
+                                verdict="holds" if witness is None else "fails")
 
 
 def check_strictly_hedonic(u, v, xs, ys, zs, reduced=None) -> TwistReport:

@@ -109,14 +109,28 @@ def counterexample_instance(a: float = 0.5) -> CounterexampleInstance:
     )
 
 
+def _well_separated(pts: np.ndarray) -> bool:
+    """Whether every two points are more than 1e-6 apart (Euclidean).
+
+    Only pairs within 1e-6 on the first coordinate can be closer, so the
+    points are sorted on it and compared k places apart, for k = 1, 2, ...
+    until no pair k places apart is that close: O(n·d) memory, and the same
+    sqrt(Σ Δ²) > 1e-6 on every pair it measures as on all pairs."""
+    p = pts[np.argsort(pts[:, 0], kind="stable")]
+    for k in range(1, p.shape[0]):
+        near = p[k:, 0] - p[:-k, 0] <= 1e-6
+        if not near.any():
+            break
+        d = np.sqrt(np.sum((p[k:][near] - p[:-k][near]) ** 2, axis=-1))
+        if not np.all(d > 1e-6):
+            return False
+    return True
+
+
 def _distinct_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     for _ in range(64):
         pts = rng.uniform(0.0, 1.0, size=(n, dim))
-        if n == 1:
-            return pts
-        d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
-        np.fill_diagonal(d, np.inf)
-        if float(d.min()) > 1e-6:
+        if _well_separated(pts):
             return pts
     raise RuntimeError("could not draw well-separated points")
 

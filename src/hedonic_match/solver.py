@@ -578,14 +578,20 @@ def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> S
 
 # --- hybrid and tripartite solves -------------------------------------------
 
+def _reduce_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
+    """An estimate, from above, of the most reduce() holds: the reduction
+    (26 bytes a pair) and _fold's temporaries (the tie test's eight bytes a
+    pair, the goods Z[argmax] and their box tests' 11·dz, and a grid block
+    with its kernel's, four words a cell of the larger of _GRID_BLOCK_CELLS
+    and one x row)."""
+    return nx * ny * (26 + 8 + 11 * dz) + 32 * max(_GRID_BLOCK_CELLS, ny * nz)
+
+
 def _reduce_lift_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
-    """An estimate, from above, of the most the reduce_lift route holds: the
-    reduction (26 bytes a pair), _fold's temporaries (the tie test's eight
-    bytes a pair, the goods Z[argmax] and their box tests' 11·dz, and a grid
-    block with its kernel's, four words a cell of the larger of
-    _GRID_BLOCK_CELLS and one x row) and the transport simplex's pricing
-    buffer (eight bytes a pair)."""
-    return nx * ny * (26 + 8 + 11 * dz + 8) + 32 * max(_GRID_BLOCK_CELLS, ny * nz)
+    """An estimate, from above, of the most the reduce_lift route holds:
+    reduce()'s (_reduce_bytes) and the transport simplex's pricing buffer
+    (eight bytes a pair)."""
+    return _reduce_bytes(nx, ny, nz, dz) + 8 * nx * ny
 
 
 def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -279,6 +280,33 @@ def test_reduce_rejects_a_non_finite_surplus(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "reduced.csv").exists()
+
+
+def test_a_reduction_just_over_the_limit_exits_2_before_allocating(tmp_path, monkeypatch,
+                                                                   capsys):
+    s = BilinearSurplus(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[-1.0]])
+    dump_json(s.to_dict(), tmp_path / "surplus.json")
+    argv = ["reduce", "--surplus", str(tmp_path / "surplus.json"), "--x-grid", "0:1:300",
+            "--y-grid", "0:1:200", "--z-grid", "0:1:5", "--out", str(tmp_path)]
+    need = solver._reduce_bytes(300, 200, 5, 1)
+    cli.build_parser()
+
+    def traced(limit):
+        monkeypatch.setattr(solver, "LP_BYTES_LIMIT", limit)
+        tracemalloc.start()
+        try:
+            return main(argv), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    code, peak = traced(need - 1)
+    assert code == EXIT_BAD_INPUT
+    assert "MiB" in capsys.readouterr().err
+    assert peak < need // 100
+    assert not (tmp_path / "reduced.csv").exists()
+    code, peak = traced(need)  # at the estimate it runs, and the estimate covers it
+    assert code == EXIT_OK
+    assert peak <= need
 
 
 def test_brute_force_subcommand(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedonic_match import diagnostics, surplus
+from hedonic_match.clusters import gradient_clusters
 from hedonic_match.core import (
     Coupling,
     DiscreteMeasure,
@@ -20,7 +21,6 @@ from hedonic_match.diagnostics import (
     SizeMismatch,
     TooFewPoints,
     TwistReport,
-    _cluster_by_gradient,
     check_compatibility_1d,
     check_purity,
     check_strictly_hedonic,
@@ -495,16 +495,22 @@ def _closure_by_brute_force(grads, tol):
     return [groups[r] for r in sorted(groups)]
 
 
+def _clusters_of_one_slice(grads, tol):
+    # gradient_clusters on one slice, as lists of rows in label order
+    label = gradient_clusters(np.asarray(grads, dtype=float), [0, len(grads)], [tol])
+    return [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
+
+
 def test_gradient_clusters_are_the_transitive_closure():
     # a ~ b and b ~ c but a !~ c: all three share one cluster
     chained = np.array([[0.0], [0.6], [1.2], [5.0]])
-    assert _cluster_by_gradient(chained, 0.7) == [[0, 1, 2], [3]]
+    assert _clusters_of_one_slice(chained, 0.7) == [[0, 1, 2], [3]]
     rng = np.random.default_rng(8)
     for _ in range(40):
         n, d = rng.integers(1, 30), rng.integers(1, 3)
         grads = rng.integers(0, 6, (n, d)) * 0.5
         tol = float(rng.choice([0.0, 0.5, 1.0]))
-        assert _cluster_by_gradient(grads, tol) == _closure_by_brute_force(grads, tol)
+        assert _clusters_of_one_slice(grads, tol) == _closure_by_brute_force(grads, tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -515,7 +521,30 @@ def test_gradient_clusters_match_the_closure_at_the_tolerance(d, data, tol):
     rows = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=d, max_size=d),
                               min_size=1, max_size=40))
     grads = np.array(rows, dtype=float) * 0.5
-    assert _cluster_by_gradient(grads, tol) == _closure_by_brute_force(grads, tol)
+    assert _clusters_of_one_slice(grads, tol) == _closure_by_brute_force(grads, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2]), data=st.data())
+def test_gradient_clusters_of_many_slices_match_the_closure(d, data):
+    # slices of 0-12 rows in lockstep, each with its own tolerance, and
+    # half-integer gradients that put many distances exactly at it
+    sizes = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    tols = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                              min_size=len(sizes), max_size=len(sizes)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=d, max_size=d),
+                              min_size=sum(sizes), max_size=sum(sizes)))
+    grads = np.array(rows, dtype=float).reshape(-1, d) * 0.5
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    expect = []
+    for lo, hi, tol in zip(bounds, bounds[1:], tols):
+        if hi > lo:
+            expect += [[lo + a for a in cluster]
+                       for cluster in _closure_by_brute_force(grads[lo:hi], tol)]
+    label = gradient_clusters(grads, bounds, tols)
+    assert label.size == sum(sizes)
+    assert [np.flatnonzero(label == c).tolist() for c in range(len(expect))] == expect
+    assert np.all(label < len(expect))
 
 
 # --- strictly hedonic -------------------------------------------------------
