@@ -4,7 +4,7 @@ Subcommands: solve, diagnose, reproduce, reduce, brute-force.  Artifacts go
 to --out (or $HEDONIC_MATCH_OUT, default the working directory) and are
 byte-deterministic for identical inputs.
 
-Exit codes: 0 success, 1 reproduction-check failure, 2 bad input, 3
+Exit codes: 0 success, 1 reproduction-check failure, 2 bad input or too large, 3
 infeasible marginals, 4 a simplex exceeded its pivot budget.  main() only
 parses arguments, dispatches and maps exceptions to exit codes; it changes no
 process-wide setting.  A process builds one parser, at the first main() call
@@ -49,8 +49,6 @@ from .serialize import dump_json, load_json, potentials_to_csv
 from .solver import (
     PivotBudgetExceeded,
     SolverInfeasible,
-    _check_bytes,
-    _reduce_bytes,
     brute_force,
     solve_hybrid,
     solve_tripartite_fixed_alpha,
@@ -262,8 +260,6 @@ def _cmd_reduce(args) -> int:
     xs = _axis_points(args.x_grid, args.x_points, "x")
     ys = _axis_points(args.y_grid, args.y_points, "y")
     zs = _axis_points(args.z_grid, args.z_points, "z")
-    _check_bytes(_reduce_bytes(len(xs), len(ys), *zs.shape),
-                 f"{len(xs)}x{len(ys)} reduction over {len(zs)} goods", "its values and fold")
     red = reduce_surplus(s, xs, ys, zs)
     if not np.isfinite(red.grid_scale):
         raise ValidationError("surplus grid must be finite, with a finite range")
@@ -359,6 +355,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -483,6 +483,20 @@ def _close_after(G: np.ndarray, a: int, tol: float) -> np.ndarray:
     return a + 1 + np.flatnonzero(dist <= tol)
 
 
+def _first_collision(grads: np.ndarray, tol: float):
+    """The first (slot, a, b), b > a, with ‖grads[slot, a] − grads[slot, b]‖∞
+    ≤ tol, or None.  a is the smallest row of the first cluster of two or
+    more, as all its neighbours come after it, and _close_after gives b."""
+    slots, per, d = grads.shape
+    label = gradient_clusters(grads.reshape(slots * per, d), np.arange(slots + 1) * per,
+                              np.full(slots, tol))
+    shared = np.flatnonzero(np.bincount(label) > 1)
+    if shared.size == 0:
+        return None
+    slot, a = divmod(int(np.argmax(label == shared[0])), per)
+    return slot, a, int(_close_after(grads[slot], a, tol)[0])
+
+
 def sample_splitting_sets(s, xs, V, ys, zs, reduced=None):
     """Extract z-trivial splitting sets and test the sampled twist.
 
@@ -607,34 +621,19 @@ def check_strictly_hedonic(u, v, xs, ys, zs, reduced=None) -> TwistReport:
     grad_tol = 1e-6 * max((float(np.max(np.abs(g))) for g in (u_grads, v_grads)
                            if g.size), default=0.0)
 
-    def first_collision(rows):
-        for slot, row in enumerate(rows):
-            for a in range(len(row)):
-                close = _close_after(row, a, grad_tol)
-                if close.size:
-                    return slot, a, int(close[0])
-        return None
-
-    hit = first_collision(u_grads)
-    if hit is not None:
-        i, ka, kb = hit
-        return TwistReport(
-            criterion="strictly-hedonic", verdict="fails",
-            witness={"side": "u", "x": X[i].tolist(),
-                     "z_a": Z[ka].tolist(), "z_b": Z[kb].tolist(),
-                     "gradient": u_grads[i, ka].tolist()},
-            details={"grad_tol": grad_tol},
-        )
-    hit = first_collision(v_grads)
-    if hit is not None:
-        k, ja, jb = hit
-        return TwistReport(
-            criterion="strictly-hedonic", verdict="fails",
-            witness={"side": "v", "z": Z[k].tolist(),
-                     "y_a": Y[ja].tolist(), "y_b": Y[jb].tolist(),
-                     "gradient": v_grads[k, ja].tolist()},
-            details={"grad_tol": grad_tol},
-        )
+    # u_grads[i] collide at goods z_a, z_b; v_grads[k] at sellers y_a, y_b
+    for side, grads, slots, fixed, rows, pair in (("u", u_grads, X, "x", Z, "z"),
+                                                  ("v", v_grads, Z, "z", Y, "y")):
+        hit = _first_collision(grads, grad_tol)
+        if hit is not None:
+            slot, a, b = hit
+            return TwistReport(
+                criterion="strictly-hedonic", verdict="fails",
+                witness={"side": side, fixed: slots[slot].tolist(),
+                         f"{pair}_a": rows[a].tolist(), f"{pair}_b": rows[b].tolist(),
+                         "gradient": grads[slot, a].tolist()},
+                details={"grad_tol": grad_tol},
+            )
 
     red = _reduction_for(s_model, X, Y, Z, reduced)
     if red.any_boundary:

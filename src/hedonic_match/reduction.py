@@ -7,7 +7,8 @@ is the package's one fold of the surplus grid over goods, one block of x
 rows at a time (SurplusModel._grid_blocks): reduce holds no more than a
 block.  Both free-z methods solve their pair LP on its values, and the
 fixed-alpha LP prices by _residual_fold, the one pass of s − U ⊕ V ⊕ W over
-the grid.  The c-transforms are maxima of the reduction's residual.
+the grid.  The c-transforms are maxima of the reduction's residual.  reduce
+checks its estimate against LP_BYTES_LIMIT; every route adds to that one sum.
 """
 
 from __future__ import annotations
@@ -18,12 +19,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ValidationError, _fmt, as_point_array, grid_scale
+from .surplus import _GRID_BLOCK_CELLS
 
 TIE_TOL = 1e-10  # a fraction of the range of the reduced values
+LP_BYTES_LIMIT = 1 << 30  # the most a reduction, or a solve, may plan to hold
 
 
 class EmptyGrid(ValidationError):
     pass
+
+
+class TooLarge(ValidationError):
+    pass
+
+
+def _check_bytes(need: int, problem: str, parts: str) -> None:
+    """TooLarge, naming the estimate in MiB, when need > LP_BYTES_LIMIT."""
+    if need > LP_BYTES_LIMIT:
+        raise TooLarge(f"the {problem} needs about {need / 2**20:,.0f} MiB for {parts} "
+                       f"(limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
+
+
+def _reduce_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
+    """From above, the most a reduction costs its caller: the reduction (26
+    bytes a pair), _fold's temporaries (8 + 11·dz a pair, and a grid block
+    with its kernel's, four words a cell of the larger of _GRID_BLOCK_CELLS
+    and one x row) and the float a pair of work array that every consumer
+    makes, a transport pricing buffer or a residual."""
+    return nx * ny * (42 + 11 * dz) + 32 * max(_GRID_BLOCK_CELLS, ny * nz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +164,14 @@ def reduce(s, xs, ys, zs) -> ReducedSurplus:
     second index lands within TIE_TOL of the max; TIE_TOL is a fraction of
     the reduced values' range, given in absolute units in the result.  The
     boundary flag marks argmaxes on the bounding box of Z, where the discrete
-    first-order condition says nothing.
+    first-order condition says nothing.  TooLarge, before anything is
+    allocated, when _reduce_bytes exceeds LP_BYTES_LIMIT.
     """
     X = _require_points(xs, "X")
     Y = _require_points(ys, "Y")
     Z = _require_points(zs, "Z")
+    _check_bytes(_reduce_bytes(len(X), len(Y), *Z.shape),
+                 f"{len(X)}x{len(Y)} reduction over {len(Z)} goods", "its fold and work array")
     return _fold(s._grid_blocks(X, Y, Z), (X.shape[0], Y.shape[0]), Z)
 
 

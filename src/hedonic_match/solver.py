@@ -48,8 +48,7 @@ from .core import (
     as_point_array,
     project,
 )
-from .reduction import ReducedSurplus, _residual_fold, reduce
-from .surplus import _GRID_BLOCK_CELLS
+from .reduction import ReducedSurplus, TooLarge, _check_bytes, _reduce_bytes, _residual_fold, reduce
 
 # ENTER_TOL and DEGEN_TOL are fractions of the reward range; RATIO_TOL and
 # MASS_CLAMP are on the unit-mass scale.
@@ -58,10 +57,9 @@ DEGEN_TOL = 1e-9
 RATIO_TOL = 1e-11
 MASS_CLAMP = 1e-9
 # column generation: degenerate pivots in a row per row of B before Bland's
-# rule, pivots between refactorisations, and the bytes it may allocate
+# rule, and pivots between refactorisations
 DEGEN_RUN = 20
 REFACTOR_EVERY = 50
-LP_BYTES_LIMIT = 1 << 30
 # fixed alpha: the start's working set holds every cell within SEED_BAND of
 # the range of tight under the reduce_lift duals, and a pricing pass adds at
 # most the PRICE_CAP·m cells (m rows) that price out most
@@ -80,10 +78,6 @@ class InfeasibleMarginals(SolverInfeasible):
 
 class PivotBudgetExceeded(RuntimeError):
     """A simplex used up its pivot budget before reaching an optimum."""
-
-
-class TooLarge(ValidationError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +394,7 @@ def _duals(y: np.ndarray, nx: int, ny: int):
 
 
 def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
-                  basis: np.ndarray, shape: tuple, scale: float, price):
+                  basis: np.ndarray, shape: tuple, scale: float, price, check):
     """Primal revised simplex (maximization) over a working set of cells,
     from a feasible basis of one cell per row (m rows) among them: cells are
     flat ids in ascending order and vals their s values.
@@ -425,12 +419,15 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     ENTER_TOL·scale with their values, which join the working set (B does
     not change), and the largest reduced cost off the basis.  The solve
     stops at the first pass that returns no cell; that pass certifies it.
+    check(size) raises TooLarge when that many working cells would not fit;
+    it sees the start's and each grown working set's size.
 
     Returns (basis, x_B, c_B, y, iterations, top): the basic cells, their
     masses and values, the row duals and the largest reduced cost off the
     basis that the certifying pass found.
     """
     m = basis.size
+    check(cells.size)
     enter_tol = ENTER_TOL * scale
     max_iter = 5000 + 50 * int(np.prod(shape))
 
@@ -465,10 +462,7 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
             new, new_vals, top = price(U, V, W, basis)
             if new.size == 0:
                 break
-            if 8 * 6 * (cells.size + new.size) > LP_BYTES_LIMIT:  # six words a cell
-                raise TooLarge(
-                    f"the working set of {cells.size + new.size:,} cells needs more than "
-                    f"{LP_BYTES_LIMIT / 2**20:,.0f} MiB")
+            check(cells.size + new.size)
             order = np.argsort(np.concatenate([cells, new]), kind="stable")
             cells = np.concatenate([cells, new])[order]
             vals = np.concatenate([vals, new_vals])[order]
@@ -518,38 +512,35 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     return basis, np.maximum(xB, 0.0), cB, y, iterations, top
 
 
-def _check_bytes(need: int, problem: str, parts: str) -> None:
-    """TooLarge, naming the estimate in MiB, when need > LP_BYTES_LIMIT."""
-    if need > LP_BYTES_LIMIT:
-        raise TooLarge(
-            f"the {problem} needs about {need / 2**20:,.0f} MiB for {parts} "
-            f"(limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
-
-
-def _check_lp(*measures: DiscreteMeasure) -> None:
-    """Before anything is allocated: TooLarge when the reduction, B, B⁻¹
-    and a working set of a cell per pair would exceed LP_BYTES_LIMIT, and
-    InfeasibleMarginals when the measures carry different total masses."""
+def _check_lp(measures, Z: np.ndarray, cells: int = 0) -> None:
+    """TooLarge when an LP over the measures would hold more than the limit:
+    reduce()'s estimate over the goods Z, B and B⁻¹ with its eta file, and
+    `cells` working cells at ten words each, the six a cell holds and the
+    copies a growth makes.  Checked before anything is allocated, then by
+    _cell_simplex on its start and before each growth."""
     sizes = [measure.size for measure in measures]
     m = sum(sizes) - len(sizes) + 1
-    # three words a pair for the reduction, six a cell for the working set
-    _check_bytes(8 * (9 * sizes[0] * sizes[1] + 2 * m * m),
-                 f"{'x'.join(map(str, sizes))} LP", "its reduction, working set, B and B^-1")
-    totals = [float(np.sum(measure.weights)) for measure in measures]
-    if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
-        raise InfeasibleMarginals("marginals carry different total mass")
+    _check_bytes(_reduce_bytes(sizes[0], sizes[1], *Z.shape)
+                 + 8 * m * (2 * m + REFACTOR_EVERY) + 80 * cells,
+                 f"{'x'.join(map(str, sizes))} LP",
+                 f"its reduction, B, B^-1 and {cells:,} working cells")
 
 
 def _cell_lp(red: ReducedSurplus, cells, vals, start, price, mu: DiscreteMeasure,
              nu: DiscreteMeasure, alpha: DiscreteMeasure | None = None) -> SolveResult:
     """_cell_simplex on the LP over couplings of mu, nu and, when given,
     alpha (the pair LP without it), with tolerances as fractions of the
-    reduction's range, then _solution."""
+    reduction's range, then _solution; InfeasibleMarginals first when the
+    measures carry different total masses."""
     measures = [mu, nu] if alpha is None else [mu, nu, alpha]
     shape = (mu.size, nu.size, 1 if alpha is None else alpha.size)
     rhs = np.concatenate([mu.weights] + [measure.weights[:-1] for measure in measures[1:]])
-    basis, x, c, y, iterations, top = _cell_simplex(cells, vals, rhs, start, shape,
-                                                    red.grid_scale, price)
+    totals = [float(np.sum(measure.weights)) for measure in measures]
+    if max(totals) - min(totals) > SOLVER_MARGINAL_TOL:
+        raise InfeasibleMarginals("marginals carry different total mass")
+    basis, x, c, y, iterations, top = _cell_simplex(
+        cells, vals, rhs, start, shape, red.grid_scale, price,
+        lambda size: _check_lp(measures, red.z_points, size))
     method = "direct_lp" if alpha is None else "tripartite_fixed_alpha"
     return _solution(basis, x, c, _duals(y, mu.size, nu.size), measures, top,
                      red.grid_scale, iterations, method, red)
@@ -578,22 +569,6 @@ def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> S
 
 # --- hybrid and tripartite solves -------------------------------------------
 
-def _reduce_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
-    """An estimate, from above, of the most reduce() holds: the reduction
-    (26 bytes a pair) and _fold's temporaries (the tie test's eight bytes a
-    pair, the goods Z[argmax] and their box tests' 11·dz, and a grid block
-    with its kernel's, four words a cell of the larger of _GRID_BLOCK_CELLS
-    and one x row)."""
-    return nx * ny * (26 + 8 + 11 * dz) + 32 * max(_GRID_BLOCK_CELLS, ny * nz)
-
-
-def _reduce_lift_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
-    """An estimate, from above, of the most the reduce_lift route holds:
-    reduce()'s (_reduce_bytes) and the transport simplex's pricing buffer
-    (eight bytes a pair)."""
-    return _reduce_bytes(nx, ny, nz, dz) + 8 * nx * ny
-
-
 def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
                  method: str = "reduce_lift") -> SolveResult:
     """Maximize total surplus over couplings with X,Y marginals fixed and the
@@ -604,19 +579,16 @@ def solve_hybrid(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs,
     some matched pair's best good ties with another.  reduce_lift solves
     the pair LP by the transport simplex, direct_lp by column generation.
     The two routes agree in objective (checked by the acceptance suite).
-    Each is refused with TooLarge before the reduction when its estimate
-    (_check_lp, _reduce_lift_bytes) exceeds LP_BYTES_LIMIT.  A grid with a
-    non-finite value or range is refused with ValidationError.
+    Each is refused with TooLarge before anything is allocated: reduce()
+    checks its estimate, which counts reduce_lift's pricing buffer, and
+    direct_lp first adds its share (_check_lp).  A grid with a non-finite
+    value or range is refused with ValidationError.
     """
     z_pts = as_point_array(zs)
     if method not in ("reduce_lift", "direct_lp"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "direct_lp":
-        _check_lp(mu, nu)
-    else:
-        _check_bytes(_reduce_lift_bytes(mu.size, nu.size, *z_pts.shape),
-                     f"{mu.size}x{nu.size} reduce_lift solve over {z_pts.shape[0]} goods",
-                     "its reduction, fold and pricing buffer")
+        _check_lp([mu, nu], z_pts)
     red = reduce(s, mu.points, nu.points, z_pts)
     if not np.isfinite(red.grid_scale):
         raise ValidationError("surplus grid must be finite, with a finite range")
@@ -641,12 +613,13 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
     Column generation from the staircase through the grid plus every cell
     within SEED_BAND·range of tight under the reduce_lift duals; a pricing
     pass is _residual_fold.  The result carries the reduction.  Raises
-    TooLarge before allocating (_check_lp), and ValidationError on a grid
-    with a non-finite value or range, which no pivot could price.
+    TooLarge (_check_lp) before allocating and before the working set
+    outgrows the limit, and ValidationError on a grid with a non-finite
+    value or range, which no pivot could price.
     """
     X, Y, Z = mu.points, nu.points, alpha.points
     shape = mu.size, nu.size, alpha.size
-    _check_lp(mu, nu, alpha)
+    _check_lp([mu, nu, alpha], Z)
     red = reduce(s, X, Y, Z)
     scale = red.grid_scale
     if not np.isfinite(scale):
@@ -660,6 +633,7 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
     i, j, k = np.unravel_index(start, shape)
     cells, first = np.unique(np.concatenate([start, seed.cells]), return_index=True)
     vals = np.concatenate([s.value_batch(X[i], Y[j], Z[k]), seed.values])[first]
+    del seed, first  # from here the working set holds the seed cells
 
     def price(U, V, W, basis):
         found = _residual_fold(s, X, Y, Z, U, V, W, ENTER_TOL * scale, basis, most)

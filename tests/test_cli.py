@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hedonic_match import cli, solver
+from hedonic_match import cli, reduction, solver
 from hedonic_match.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -288,11 +288,11 @@ def test_a_reduction_just_over_the_limit_exits_2_before_allocating(tmp_path, mon
     dump_json(s.to_dict(), tmp_path / "surplus.json")
     argv = ["reduce", "--surplus", str(tmp_path / "surplus.json"), "--x-grid", "0:1:300",
             "--y-grid", "0:1:200", "--z-grid", "0:1:5", "--out", str(tmp_path)]
-    need = solver._reduce_bytes(300, 200, 5, 1)
+    need = reduction._reduce_bytes(300, 200, 5, 1)
     cli.build_parser()
 
     def traced(limit):
-        monkeypatch.setattr(solver, "LP_BYTES_LIMIT", limit)
+        monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", limit)
         tracemalloc.start()
         try:
             return main(argv), tracemalloc.get_traced_memory()[1]
@@ -634,6 +634,40 @@ print(*counts)
 """
 
 
+
+def test_the_reduce_estimate_covers_its_own_peak(tmp_path, monkeypatch, capsys):
+    s = BilinearSurplus(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[-1.0]])
+    dump_json(s.to_dict(), tmp_path / "surplus.json")
+    argv = ["reduce", "--surplus", str(tmp_path / "surplus.json"), "--x-grid", "0:1:120",
+            "--y-grid", "0:1:90", "--z-grid", "0:1:9"]
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "ran")]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", peak - 1)
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == EXIT_BAD_INPUT
+    assert "MiB" in capsys.readouterr().err
+    assert not (tmp_path / "refused" / "reduced.csv").exists()
+
+
+def test_running_out_of_memory_exits_2_naming_the_size(tmp_path, monkeypatch, capsys):
+    # numpy's own message names the allocation that failed
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.07 GiB for an array with shape "
+                          "(12000, 12000) and data type float64")
+
+    monkeypatch.setattr(cli, "solve_hybrid", out_of_memory)
+    code = main(["solve", "--random-instance", "1", "--n", "6", "--nz", "3",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "1.07 GiB" in err
+
 def test_import_builds_no_parser_and_main_builds_one(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", _PARSER_COUNT, str(tmp_path)],
@@ -645,7 +679,7 @@ def test_import_builds_no_parser_and_main_builds_one(tmp_path):
 
 
 def test_a_reduce_lift_solve_too_large_for_the_limit_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", 1 << 20)
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", 1 << 20)
     code = main(["solve", "--random-instance", "1", "--n", "200", "--nz", "5",
                  "--out", str(tmp_path)])
     assert code == EXIT_BAD_INPUT

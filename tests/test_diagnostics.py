@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedonic_match import diagnostics, surplus
+from hedonic_match import diagnostics, reduction, surplus
 from hedonic_match.clusters import gradient_clusters
 from hedonic_match.core import (
     Coupling,
@@ -608,6 +610,58 @@ def test_strictly_hedonic_reads_a_given_reduction():
     with pytest.raises(SizeMismatch):
         check_strictly_hedonic(u, v, xs, xs, zs, reduced=reduce(s, xs[:-1], xs, zs))
 
+
+
+def _first_collision_by_loop(grads, tol):
+    for slot, row in enumerate(grads):
+        for a in range(len(row)):
+            close = diagnostics._close_after(row, a, tol)
+            if close.size:
+                return slot, a, int(close[0])
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_collision_matches_the_loop(seed):
+    # few distinct values, so ties and chains are common; NaN never collides
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        shape = (rng.integers(0, 6), rng.integers(0, 7), rng.integers(1, 4))
+        grads = rng.integers(0, 4, size=shape) + rng.choice([0.0, 0.25, 1e-12], size=shape)
+        grads[rng.random(shape) < 0.1] = np.nan
+        tol = float(rng.choice([0.0, 0.3, 1.0]))
+        assert diagnostics._first_collision(grads, tol) == _first_collision_by_loop(grads, tol)
+
+
+@pytest.mark.parametrize("check", ["stability", "splitting", "strictly_hedonic"])
+def test_diagnostics_without_a_reduction_refuse_before_allocating(monkeypatch, check):
+    # the reduction of 1,500 x 1,500 pairs over 3 goods needs over 100 MiB; a
+    # limit one byte under reduce()'s estimate is met before any of it
+    n, nz = 1500, 3
+    xs = np.linspace(0.25, 0.75, n)[:, None]
+    zs = np.linspace(0.0, 1.0, nz)[:, None]
+    u = BilinearComponent([[1.0]], Dz=[[-1.0]])  # D_x u = z, D_z v = y: no collision
+    v = BilinearComponent([[1.0]])
+    s = StrictlyHedonicSurplus(u, v)
+    mu = DiscreteMeasure.uniform(xs)
+    diagonal = Coupling(np.column_stack([np.arange(n), np.arange(n), np.zeros(n, int)]),
+                        np.full(n, 1.0 / n), mu, mu, z_points=zs)
+    zero = np.zeros(n)
+    run = {
+        "stability": lambda: verify_stability(s, diagonal, DualPotentials(zero, zero)),
+        "splitting": lambda: sample_splitting_sets(s, xs, zero, xs, zs),
+        "strictly_hedonic": lambda: check_strictly_hedonic(u, v, xs, xs, zs),
+    }[check]
+    need = reduction._reduce_bytes(n, n, nz, 1)
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(reduction.TooLarge, match="MiB"):
+            run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < need // 100
 
 def test_strictly_hedonic_component_pair_and_full_model_agree():
     z_nodes = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])

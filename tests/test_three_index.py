@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from hedonic_match import solver
+from hedonic_match import reduction, solver
 from hedonic_match.core import (
     Coupling,
     DiscreteMeasure,
@@ -344,6 +344,31 @@ def test_too_large_lp_is_refused_before_allocating():
         tracemalloc.stop()
     assert peak < 16 * 2**20
 
+
+
+@pytest.mark.parametrize("route, family", [
+    ("reduce_lift", "bilinear"), ("direct_lp", "bilinear"), ("fixed_alpha", "expcos"),
+])
+def test_each_estimate_covers_its_own_peak(monkeypatch, route, family):
+    # one byte below the route's own tracemalloc peak must be refused: the
+    # estimate counts all a route holds, its grid block and working set too
+    inst = random_instance(0, n=60, nz=9, family=family)
+    alpha = DiscreteMeasure.uniform(inst.z_points)
+
+    def run():
+        if route == "fixed_alpha":
+            return solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu, alpha)
+        return solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points, method=route)
+
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", peak - 1)
+    with pytest.raises(TooLarge, match="MiB"):
+        run()
 
 def test_fixed_alpha_refactorises_on_a_drifting_pivot_element():
     # the ratio test took an entry of 2e-11 beside others of 201, rounding

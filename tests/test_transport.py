@@ -13,7 +13,7 @@ from scipy.sparse import coo_matrix
 
 from hedonic_match.core import DiscreteMeasure
 from hedonic_match.instances import random_instance
-from hedonic_match import solver
+from hedonic_match import reduction
 from hedonic_match.solver import TooLarge, solve_bipartite, solve_hybrid
 from hedonic_match.surplus import TabulatedSurplus
 
@@ -211,8 +211,8 @@ def test_pivot_path_is_pinned(market, iterations, objective, sum_u, sum_v):
 
 def test_reduce_lift_just_over_the_limit_is_refused_before_allocating(monkeypatch):
     inst = random_instance(0, n=400, nz=5, family="bilinear")
-    need = solver._reduce_lift_bytes(400, 400, 5, 1)
-    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", need - 1)
+    need = reduction._reduce_bytes(400, 400, 5, 1)
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", need - 1)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="MiB"):
@@ -221,7 +221,7 @@ def test_reduce_lift_just_over_the_limit_is_refused_before_allocating(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < need // 100
-    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", need)
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", need)
     assert solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points).objective
 
 
@@ -234,10 +234,10 @@ def test_reduce_lift_estimate_covers_its_peak(family):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= solver._reduce_lift_bytes(400, 400, *inst.z_points.shape)
+    assert peak <= reduction._reduce_bytes(400, 400, *inst.z_points.shape)
 
 
 def test_transport_buffer_over_the_limit_is_refused(monkeypatch):
-    monkeypatch.setattr(solver, "LP_BYTES_LIMIT", 8 * 30 * 40 - 1)
+    monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", 8 * 30 * 40 - 1)
     with pytest.raises(TooLarge, match="MiB"):
         solve_bipartite(np.zeros((30, 40)), _uniform(30), _uniform(40))
