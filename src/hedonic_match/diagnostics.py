@@ -18,7 +18,7 @@ from .surplus import (
     MissingUV,
     SingularBlock,
     StrictlyHedonicSurplus,
-    _GRID_BLOCK_CELLS,
+    _block_rows,
     _nonsingular,
     _reduced_matrix,
     signature,
@@ -83,10 +83,10 @@ def _reduction_for(s, X, Y, Z, reduced):
 
 def _column_blocks(s, X, Y, Z):
     """Yield (lo, block) with block[a, k] = s(X[lo + a], Y[lo + a], Z[k])
-    over blocks of at most _GRID_BLOCK_CELLS cells: the z-columns of the
-    pairs (X[a], Y[a]), bit for bit those of value_grid."""
-    X, Y, Z = (s._canon_grid(P, axis) for P, axis in ((X, "x"), (Y, "y"), (Z, "z")))
-    rows = max(1, _GRID_BLOCK_CELLS // Z.shape[0])
+    over blocks of _block_rows(n_z) pairs: the z-columns of the pairs
+    (X[a], Y[a]), bit for bit those of value_grid."""
+    X, Y, Z = s._grids(X, Y, Z)
+    rows = _block_rows(Z.shape[0])
     for lo in range(0, X.shape[0], rows):
         yield lo, s._kernel(X[lo:lo + rows, None], Y[lo:lo + rows, None], Z[None, :])
 
@@ -331,8 +331,7 @@ def check_compatibility_1d(s, points) -> TwistReport:
     """
     if tuple(s.dims) != (1, 1, 1):
         raise ValidationError("compatibility check is for 1-D models only")
-    X, Y, Z = (s._canon_grid([triple[a] for triple in points], axis)
-               for a, axis in enumerate("xyz"))
+    X, Y, Z = s._grids(*([triple[a] for triple in points] for a in range(3)))
     sxy, sxz, syz = (b[:, 0, 0] for b in s._hess(X, Y, Z))
     degenerate = np.abs(syz) <= 1e-12 * (1.0 + np.abs(sxy) + np.abs(sxz))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -654,8 +653,7 @@ def _verify_separable(s, X, Y, Z) -> None:
     """Numerically confirm u is y-free and v is x-free on sample triples: the
     spread of u over y (of v over x) at each sampled point may be at most
     STABILITY_TOL times the range of u (of v) over all samples."""
-    xs, ys, zs = (s._canon_grid(P[:: max(1, P.shape[0] // 3)], axis)
-                  for P, axis in ((X, "x"), (Y, "y"), (Z, "z")))
+    xs, ys, zs = s._grids(*(P[:: max(1, P.shape[0] // 3)] for P in (X, Y, Z)))
     u, v = s._uv(xs[:, None, None], ys[None, :, None], zs[None, None, :])
     if np.any(np.ptp(u, axis=1) > STABILITY_TOL * np.ptp(u)):
         raise NotSeparable("u(x,·,z) varies with y")
@@ -738,9 +736,9 @@ def support_dimension(coupling: Coupling, radius: float, s=None) -> SupportDimen
     r2 = radius * radius
     covs = np.empty((m, pts.shape[1], pts.shape[1]))
     # D[a, :, b] = p_b - p_a with the support points b last, so that every
-    # pass runs along them; a block holds at most _GRID_BLOCK_CELLS offsets
+    # pass runs along them; a block holds _block_rows of those m·d offsets
     cols = np.ascontiguousarray(pts.T)
-    rows = max(1, _GRID_BLOCK_CELLS // (m * pts.shape[1]))
+    rows = _block_rows(m * pts.shape[1])
     for lo in range(0, m, rows):
         D = cols[None, :, :] - pts[lo:lo + rows, :, None]
         near = np.sum(D * D, axis=1) <= r2

@@ -20,8 +20,6 @@ from .surplus import (
     SurplusModel,
 )
 
-COUNTEREXAMPLE_STEP = 1.0 / 16.0
-
 FAMILY_CYCLE = ("bilinear", "counterexample", "supermodular",
                 "bilinear-zfree", "expcos")
 
@@ -172,26 +170,21 @@ def random_instance(seed: int, n: int | None = None, nz: int | None = None,
             g=[0.0, rng.uniform(-1.0, 1.0)],
             h=[0.0, rng.uniform(-1.0, 1.0)],
         )
-        dims = (1, 1, 1)
     elif family == "counterexample":
         s = CounterexampleSurplus(a=rng.uniform(0.1, 1.5))
-        dims = (1, 1, 1)
     elif family == "supermodular":
         exps = tuple(int(e) for e in rng.integers(1, 4, size=3))
         s = Supermodular1DSurplus(exponents=exps, scale=rng.uniform(0.5, 2.0))
-        dims = (1, 1, 1)
     elif family == "bilinear-zfree":
         # No z interaction at all: every good is optimal, so reductions tie.
         s = BilinearSurplus(
             A=[[rng.uniform(0.5, 2.0)]], B=[[0.0]], C=[[0.0]],
             f=[0.0, rng.uniform(-1.0, 1.0)],
         )
-        dims = (1, 1, 1)
     else:
         s = ExpCosSurplus()
-        dims = (2, 2, 2)
 
-    dx, dy, dz = dims
+    dx, dy, dz = s.dims
     mu = DiscreteMeasure.uniform(_sorted_points(_distinct_points(rng, n, dx)))
     nu = DiscreteMeasure.uniform(_sorted_points(_distinct_points(rng, n, dy)))
     zs = _sorted_points(_distinct_points(rng, nz, dz))

@@ -5,9 +5,9 @@ The two-step route to the hybrid problem: collapse z by maximizing,
 remember which z attained it, then match buyers to sellers on sbar.  _fold
 is the package's one fold of the surplus grid over goods, one block of x
 rows at a time (SurplusModel._grid_blocks): reduce holds no more than a
-block.  Both free-z methods solve their pair LP on its values, and the
-fixed-alpha LP prices by _residual_fold, the one pass of s − U ⊕ V ⊕ W over
-the grid.  The c-transforms are maxima of the reduction's residual.  reduce
+block, and _reduce_bytes counts it by the same rule, surplus._block_rows.
+Both free-z methods solve their pair LP on its values, and the fixed-alpha
+LP prices by _residual_fold, the one pass of s − U ⊕ V ⊕ W over the grid.  The c-transforms are maxima of the reduction's residual.  reduce
 checks its estimate against LP_BYTES_LIMIT; every route adds to that one sum.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ValidationError, _fmt, as_point_array, grid_scale
-from .surplus import _GRID_BLOCK_CELLS
+from .surplus import _block_rows
 
 TIE_TOL = 1e-10  # a fraction of the range of the reduced values
 LP_BYTES_LIMIT = 1 << 30  # the most a reduction, or a solve, may plan to hold
@@ -43,10 +43,12 @@ def _check_bytes(need: int, problem: str, parts: str) -> None:
 def _reduce_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
     """From above, the most a reduction costs its caller: the reduction (26
     bytes a pair), _fold's temporaries (8 + 11·dz a pair, and a grid block
-    with its kernel's, four words a cell of the larger of _GRID_BLOCK_CELLS
-    and one x row) and the float a pair of work array that every consumer
-    makes, a transport pricing buffer or a residual."""
-    return nx * ny * (42 + 11 * dz) + 32 * max(_GRID_BLOCK_CELLS, ny * nz)
+    with its kernel's, four words a cell of min(nx, _block_rows(ny·nz)) x
+    rows) and the float a pair of work array that every consumer makes, a
+    transport pricing buffer or a residual.  Not counted: some kilobytes of
+    fixed overhead, which exceed the estimate only on grids of a few hundred
+    cells."""
+    return nx * ny * (42 + 11 * dz) + 32 * min(nx, _block_rows(ny * nz)) * ny * nz
 
 
 @dataclass(frozen=True, eq=False)

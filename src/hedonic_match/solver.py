@@ -459,13 +459,16 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
             if etas:
                 factor()
                 continue
+            del i, j, k, red  # rebuilt from the grown working set
             new, new_vals, top = price(U, V, W, basis)
             if new.size == 0:
                 break
             check(cells.size + new.size)
-            order = np.argsort(np.concatenate([cells, new]), kind="stable")
-            cells = np.concatenate([cells, new])[order]
-            vals = np.concatenate([vals, new_vals])[order]
+            # new is ascending too: each goes after the cells equal to it
+            pos = np.searchsorted(cells, new, side="right")
+            cells = np.insert(cells, pos, new)
+            vals = np.insert(vals, pos, new_vals)
+            del pos, new, new_vals
             i, j, k = np.unravel_index(cells, shape)
             at = np.searchsorted(cells, basis)
             continue
@@ -515,13 +518,13 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
 def _check_lp(measures, Z: np.ndarray, cells: int = 0) -> None:
     """TooLarge when an LP over the measures would hold more than the limit:
     reduce()'s estimate over the goods Z, B and B⁻¹ with its eta file, and
-    `cells` working cells at ten words each, the six a cell holds and the
-    copies a growth makes.  Checked before anything is allocated, then by
-    _cell_simplex on its start and before each growth."""
+    seven words for each of `cells` working cells (id, value, three axis
+    indices, reduced cost and a gathered dual).  Checked before anything is
+    allocated, then by _cell_simplex on its start and before each growth."""
     sizes = [measure.size for measure in measures]
     m = sum(sizes) - len(sizes) + 1
     _check_bytes(_reduce_bytes(sizes[0], sizes[1], *Z.shape)
-                 + 8 * m * (2 * m + REFACTOR_EVERY) + 80 * cells,
+                 + 8 * m * (2 * m + REFACTOR_EVERY) + 56 * cells,
                  f"{'x'.join(map(str, sizes))} LP",
                  f"its reduction, B, B^-1 and {cells:,} working cells")
 

@@ -15,6 +15,7 @@ D_z s) and _hess the mixed blocks (D²xy s, D²xz s, D²yz s); a family that
 splits s = u(x, z) + v(y, z) adds _uv for (u, v).  SurplusModel derives the
 scalar, row-paired and product-grid evaluators, the scalar derivative
 methods and value_u/value_v from them, so every form rounds identically.
+Blocked passes over a grid, and reduction's estimate of them, read _block_rows.
 Matrix terms are stacked matmuls, which round like M @ p for a single point.
 
 The G matrix stacks the mixed Hessian blocks with zero diagonal blocks; its
@@ -40,6 +41,11 @@ PIVOT_REL_TOL = 1e-10
 # cells per row block of _grid_blocks: 512 KiB of float64, so a fold's
 # working set stays bounded whatever the size of the full grid
 _GRID_BLOCK_CELLS = 1 << 16
+
+
+def _block_rows(per_row: int) -> int:
+    """Rows of per_row cells in a block of _GRID_BLOCK_CELLS, one at least."""
+    return max(1, _GRID_BLOCK_CELLS // max(1, per_row))
 
 
 class OutOfGrid(ValidationError):
@@ -225,6 +231,9 @@ class SurplusModel:
     def _point(self, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._canon(x, "x"), self._canon(y, "y"), self._canon(z, "z")
 
+    def _grids(self, xs, ys, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._canon_grid(xs, "x"), self._canon_grid(ys, "y"), self._canon_grid(zs, "z")
+
     def _kernel(self, X, Y, Z) -> np.ndarray:
         raise NotImplementedError
 
@@ -267,29 +276,23 @@ class SurplusModel:
 
     def value_batch(self, xs, ys, zs) -> np.ndarray:
         """Row-paired evaluation s(xs[i], ys[i], zs[i])."""
-        X = self._canon_grid(xs, "x")
-        Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
+        X, Y, Z = self._grids(xs, ys, zs)
         if not X.shape[0] == Y.shape[0] == Z.shape[0]:
             raise DimensionMismatch("value_batch needs equal-length point lists")
         return self._kernel(X, Y, Z)
 
     def value_grid(self, xs, ys, zs) -> np.ndarray:
         """Dense (n_x, n_y, n_z) evaluation over a product grid."""
-        X = self._canon_grid(xs, "x")
-        Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
+        X, Y, Z = self._grids(xs, ys, zs)
         return self._kernel(X[:, None, None], Y[None, :, None], Z[None, None, :])
 
     def _grid_blocks(self, xs, ys, zs):
-        """Yield (lo, value_grid(X[lo:lo + rows], Y, Z)) over blocks of X rows
-        of at most _GRID_BLOCK_CELLS cells (one row at least).  The kernels
-        are elementwise, so the blocks are bit for bit the rows of the full
-        grid; a caller folds each block before it asks for the next."""
-        X = self._canon_grid(xs, "x")
-        Y = self._canon_grid(ys, "y")
-        Z = self._canon_grid(zs, "z")
-        rows = max(1, _GRID_BLOCK_CELLS // max(1, Y.shape[0] * Z.shape[0]))
+        """Yield (lo, value_grid(X[lo:lo + rows], Y, Z)) over blocks of
+        _block_rows(n_y·n_z) X rows.  The kernels are elementwise, so the
+        blocks are bit for bit the rows of the full grid; a caller folds each
+        block before it asks for the next."""
+        X, Y, Z = self._grids(xs, ys, zs)
+        rows = _block_rows(Y.shape[0] * Z.shape[0])
         for lo in range(0, X.shape[0], rows):
             yield lo, self.value_grid(X[lo:lo + rows], Y, Z)
 

@@ -942,6 +942,29 @@ def _block_rows(monkeypatch, rows, cells):
                         1 << 30 if rows is None else rows * cells + cells // 2)
 
 
+def _column_blocks_seen(monkeypatch) -> list:
+    """Wrap diagnostics._column_blocks; each call appends the rows of the
+    blocks it yields."""
+    blocks, column_blocks = [], diagnostics._column_blocks
+
+    def recorded(*args):
+        blocks.append([])
+        for lo, cols in column_blocks(*args):
+            blocks[-1].append(cols.shape[0])
+            yield lo, cols
+
+    monkeypatch.setattr(diagnostics, "_column_blocks", recorded)
+    return blocks
+
+
+def _split_by_the_rule(sizes, per_row):
+    """Whether sizes, the rows of consecutive blocks, cut their total into
+    blocks of surplus._GRID_BLOCK_CELLS // per_row rows, the last one ragged."""
+    rows = max(1, surplus._GRID_BLOCK_CELLS // per_row)
+    total = sum(sizes)
+    return sizes == [rows] * (total // rows) + [total % rows] * (total % rows > 0)
+
+
 @pytest.mark.parametrize("rows", [1, 3, None])
 @pytest.mark.parametrize("with_w", [False, True])
 @pytest.mark.parametrize("market", ["planted-table", "bilinear"])
@@ -988,7 +1011,13 @@ def test_blocked_splitting_sets_match_the_full_grid(monkeypatch, market, rows):
     shifts = np.max(delta, axis=(1, 2))
     idx = np.argwhere(delta >= (shifts - STABILITY_TOL * grid_scale(grid))[:, None, None])
     _block_rows(monkeypatch, rows, delta.shape[1] * delta.shape[2])
+    blocks = _column_blocks_seen(monkeypatch)
     samples, rep = sample_splitting_sets(s, xs, pots.V, ys, zs)
+    # the candidate columns are cut by the patched rule
+    (sizes,) = blocks
+    assert _split_by_the_rule(sizes, zs.shape[0])
+    if rows == 1:  # where the default size makes one block
+        assert len(sizes) > 1
     assert [smp.shift for smp in samples] == shifts.tolist()
     members = [(i, j, k) for i, smp in enumerate(samples)
                for j, k in smp.member_indices]
@@ -997,6 +1026,7 @@ def test_blocked_splitting_sets_match_the_full_grid(monkeypatch, market, rows):
         assert max(smp.size for smp in samples) > 1
     monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", 1 << 30)
     whole, whole_rep = sample_splitting_sets(s, xs, pots.V, ys, zs)
+    assert blocks[1] == [sum(sizes)]
     assert [smp.to_dict() for smp in samples] == [smp.to_dict() for smp in whole]
     assert rep.to_dict() == whole_rep.to_dict()
 
@@ -1006,10 +1036,18 @@ def test_blocked_support_dimension_matches_one_block(monkeypatch, rows):
     inst = random_instance(0, n=21, nz=7, family="bilinear")
     coupling = solve_hybrid(inst.surplus, inst.mu, inst.nu, inst.z_points).coupling
     m = coupling.indices.shape[0]
-    monkeypatch.setattr(diagnostics, "_GRID_BLOCK_CELLS", 1 << 30)
+    seen = []
+
+    def block_rows(per_row, rule=diagnostics._block_rows):
+        seen.append(rule(per_row))
+        return seen[-1]
+
+    monkeypatch.setattr(diagnostics, "_block_rows", block_rows)
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", 1 << 30)
     whole = support_dimension(coupling, radius=0.3)
-    monkeypatch.setattr(diagnostics, "_GRID_BLOCK_CELLS", rows * 3 * m)
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", rows * 3 * m)
     blocked = support_dimension(coupling, radius=0.3)
+    assert [-(-m // r) for r in seen] == [1, -(-m // rows)]
     assert m % 2 == 1  # 2 rows leave a ragged last block
     assert len(set(whole.local_counts)) > 1
     assert blocked.to_dict() == whole.to_dict()
@@ -1179,8 +1217,11 @@ def test_candidate_columns_split_into_chunks(monkeypatch, rows):
     whole, whole_rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
     pairs = {(i, j) for i, j, _ in members}
     assert len(pairs) > 2 * rows  # several chunks, the last one ragged or not
-    monkeypatch.setattr(diagnostics, "_GRID_BLOCK_CELLS", rows * Z.shape[0] + 1)
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", rows * Z.shape[0] + 1)
+    blocks = _column_blocks_seen(monkeypatch)
     chunked, rep = sample_splitting_sets(s, X, V, Y, Z, reduced=res.reduction)
+    (sizes,) = blocks
+    assert len(sizes) > 2 and set(sizes[:-1]) == {rows}
     assert _members(chunked) == members
     assert [smp.to_dict() for smp in chunked] == [smp.to_dict() for smp in whole]
     assert rep.to_dict() == whole_rep.to_dict()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ def test_blocked_c_transforms_match_the_full_grid(monkeypatch, market, rows):
             == np.max(grid - V[None, :, None], axis=(1, 2)).tobytes())
     assert (red.c_transform_U(U).tobytes()
             == np.max(grid - U[:, None, None], axis=(0, 2)).tobytes())
+
+
+@pytest.mark.parametrize("cells", [1 << 12, 1 << 16, 1 << 30])  # 1 << 30: one block
+def test_the_reduce_estimate_counts_the_blocks_of_the_rule(monkeypatch, cells):
+    # the estimate reads the block rule when it is asked, as _grid_blocks does
+    inst = random_instance(0, n=200, nz=33, family="bilinear")
+    monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", cells)
+    tracemalloc.start()
+    try:
+        reduce(inst.surplus, inst.mu.points, inst.nu.points, inst.z_points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= reduction._reduce_bytes(200, 200, *inst.z_points.shape)
 
 
 def _fields(red):

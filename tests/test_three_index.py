@@ -438,6 +438,27 @@ def test_each_factorisation_a_pivot_follows_forms_one_inverse(monkeypatch):
     assert periodic < factorisations - 1 <= periodic + len(passes) - 1
 
 
+# m < 90 rows: at n = 60, expcos s0 took 461 pivots with two BLAS threads
+# and 463 with one
+@pytest.mark.parametrize("market, pivots, objective, growths", [
+    (("expcos", 1, 30, 9), 195, "-0x1.4063ec286fc0bp-2", 4),
+    (("counterexample", 1, 40, 9), 1265, "0x1.5db9e342e0264p-3", 4),
+])
+def test_fixed_alpha_pivots_hold_across_growths(monkeypatch, market, pivots, objective,
+                                                growths):
+    # the pivots and objective bits of a merge by stable sort: each growth
+    # must leave the working set in the same order
+    family, seed, n, nz = market
+    inst = random_instance(seed, n=n, nz=nz, family=family)
+    passes = _count_passes(monkeypatch)
+    res = solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu,
+                                       DiscreteMeasure.uniform(inst.z_points))
+    assert res.iterations == pivots
+    assert res.objective.hex() == objective
+    # after the seed pass, each pricing pass grows the set until one finds none
+    assert [found.cells.size > 0 for found in passes[1:]] == [True] * growths + [False]
+
+
 @pytest.mark.parametrize("fixed", [False, True])
 def test_basis_matrix_follows_the_cell_rule(fixed):
     # free z is the pair LP: shape (nx, ny, 1), whose cells have no Z row
