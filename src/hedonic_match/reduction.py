@@ -6,9 +6,14 @@ remember which z attained it, then match buyers to sellers on sbar.  _fold
 is the package's one fold of the surplus grid over goods, one block of x
 rows at a time (SurplusModel._grid_blocks): reduce holds no more than a
 block, and _reduce_bytes counts it by the same rule, surplus._block_rows.
-Both free-z methods solve their pair LP on its values, and the fixed-alpha
-LP prices by _residual_fold, the one pass of s − U ⊕ V ⊕ W over the grid.  The c-transforms are maxima of the reduction's residual.  reduce
-checks its estimate against LP_BYTES_LIMIT; every route adds to that one sum.
+_fold reads a C-contiguous, writeable block as one row of goods a pair and
+as a flat view of the same memory: a row-wise argmax finds each pair's best
+good, its flat index gathers the value and strikes it to -inf, and a second
+argmax finds the runner-up.  Both free-z methods solve their pair LP on its
+values, and the fixed-alpha LP prices by _residual_fold, the one pass of
+s − U ⊕ V ⊕ W over the grid.  The c-transforms are maxima of the
+reduction's residual.  reduce checks its estimate against LP_BYTES_LIMIT;
+every route adds to that one sum.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ def _check_bytes(need: int, problem: str, parts: str) -> None:
 
 def _reduce_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
     """From above, the most a reduction costs its caller: the reduction (26
-    bytes a pair), _fold's temporaries (8 + 11·dz a pair, and a grid block
-    with its kernel's, four words a cell of min(nx, _block_rows(ny·nz)) x
-    rows) and the float a pair of work array that every consumer makes, a
-    transport pricing buffer or a residual.  Not counted: some kilobytes of
-    fixed overhead, which exceed the estimate only on grids of a few hundred
-    cells."""
+    bytes a pair), _fold's temporaries (8 + 11·dz a pair after its block
+    loop, and a grid block with its kernel's, four words a cell of
+    min(nx, _block_rows(ny·nz)) x rows) and the float a pair of work array
+    that every consumer makes, a transport pricing buffer or a residual.
+    The loop's flat pass holds the block (a C-order copy too, while it is
+    made) and four intp arrays the size of the block's pairs: within the
+    four words a cell when nz ≥ 2, and within them and the pair terms not
+    yet in use when nz = 1.  Not counted: some kilobytes of fixed overhead,
+    which exceed the estimate only on grids of a few hundred cells."""
     return nx * ny * (42 + 11 * dz) + 32 * min(nx, _block_rows(ny * nz)) * ny * nz
 
 
@@ -57,8 +65,8 @@ class ReducedSurplus:
 
     values[i, j]   = max_k s(x_i, y_j, z_k), taken verbatim from the grid scan
     argmax[i, j]   = smallest k attaining the max
-    second[i, j]   = the largest value once that k is struck out, -inf when
-                     there is one good
+    second[i, j]   = the largest value once that k is struck out, read at
+                     the first index attaining it; -inf when there is one good
     tie[i, j]      = another k comes within tie_tol (absolute) of the max
     boundary[i, j] = the argmax z sits on the bounding box of the Z set
     lowest         = min_{i,j,k} s(x_i, y_j, z_k), the other end of the grid
@@ -134,20 +142,27 @@ def _require_points(obj, label: str) -> np.ndarray:
 
 def _fold(blocks, shape: tuple[int, int], Z: np.ndarray) -> ReducedSurplus:
     """The reduction from (lo, block) pairs, block[a] = s(X[lo + a], Y, Z),
-    that cover the x rows of the grid; each block is overwritten."""
+    that cover the x rows of the grid; a C-contiguous, writeable block is
+    overwritten, and any other is copied first."""
     best = np.empty(shape, dtype=np.intp)
     values = np.empty(shape)
     # a second index comes within tie_tol exactly when the runner-up does
     second = np.empty(shape)
     lows = []
     for lo, grid in blocks:
-        rows = slice(lo, lo + grid.shape[0])
+        grid = np.require(grid, requirements="CW")
+        pairs = grid.shape[:2]
+        cells = grid.reshape(-1, grid.shape[2])
+        flat = grid.reshape(-1)
+        start = np.arange(0, flat.size, grid.shape[2])
+        rows = slice(lo, lo + pairs[0])
         lows.append(grid.min())
-        arg = np.argmax(grid, axis=2)[:, :, None]
-        best[rows] = arg[:, :, 0]
-        values[rows] = np.take_along_axis(grid, arg, axis=2)[:, :, 0]
-        np.put_along_axis(grid, arg, -np.inf, axis=2)
-        np.max(grid, axis=2, out=second[rows])
+        at = cells.argmax(axis=1)
+        best[rows] = at.reshape(pairs)
+        at += start  # the flat index of each pair's max
+        values[rows] = flat[at].reshape(pairs)
+        flat[at] = -np.inf
+        second[rows] = flat[start + cells.argmax(axis=1)].reshape(pairs)
     tie_tol = TIE_TOL * grid_scale(values)
     tie = second >= values - tie_tol
     lo = Z.min(axis=0)

@@ -18,7 +18,9 @@ from hedonic_match.surplus import (
     BilinearSurplus,
     CounterexampleSurplus,
     Supermodular1DSurplus,
+    SurplusModel,
     TabulatedSurplus,
+    _lead,
 )
 
 
@@ -196,6 +198,29 @@ def _integer_table(seed, shape):
             *(np.arange(n, dtype=float)[:, None] for n in shape))
 
 
+class _ReadOnly(SurplusModel):
+    """s = x·z as a read-only broadcast view, constant along y."""
+
+    dims = (1, 1, 1)
+
+    def _kernel(self, X, Y, Z):
+        return np.broadcast_to(X[..., 0] * Z[..., 0], _lead(X, Y, Z))
+
+
+class _FortranOrder(SurplusModel):
+    """A base model's values, handed back in Fortran order."""
+
+    def __init__(self, base):
+        self.base = base
+
+    @property
+    def dims(self):
+        return self.base.dims
+
+    def _kernel(self, X, Y, Z):
+        return np.asfortranarray(self.base._kernel(X, Y, Z))
+
+
 def _blocked_markets():
     inst = random_instance(3, n=7, nz=5, family="bilinear")
     duplicates = np.array([[0.0], [0.25], [0.25], [0.5], [0.75], [0.75], [1.0]])
@@ -207,6 +232,11 @@ def _blocked_markets():
                         _dyadic(0.0, 0.5, 5), duplicates),
         "nz=1": (CounterexampleSurplus(0.5), _dyadic(0.5, 1.0, 7),
                  _dyadic(0.0, 0.5, 5), [[0.5]]),
+        # x > 0 and z in [-1, 1]: the best good is the last, and no pair ties
+        "read-only": (_ReadOnly(), _dyadic(0.25, 1.0, 7), _dyadic(0.0, 1.0, 5),
+                      _dyadic(-1.0, 1.0, 6)),
+        "fortran-order": (_FortranOrder(inst.surplus), inst.mu.points,
+                          inst.nu.points, inst.z_points),
     }
 
 
@@ -218,13 +248,19 @@ def _block_rows(monkeypatch, rows, ys, zs):
                         1 << 30 if rows is None else rows * cells + cells // 2)
 
 
+MARKETS = ["integer-table", "bilinear", "duplicate-z", "nz=1", "read-only", "fortran-order"]
+
+
 @pytest.mark.parametrize("rows", [1, 3, None])
-@pytest.mark.parametrize("market", ["integer-table", "bilinear", "duplicate-z", "nz=1"])
+@pytest.mark.parametrize("market", MARKETS)
 def test_blocked_reduce_matches_the_full_grid(monkeypatch, market, rows):
     s, xs, ys, zs = _blocked_markets()[market]
     grid = s.value_grid(xs, ys, zs)
     best = np.argmax(grid, axis=2)
     values = np.max(grid, axis=2)
+    # the runner-up of each sorted goods column
+    second = (np.sort(grid, axis=2)[:, :, -2] if grid.shape[2] > 1
+              else np.full(values.shape, -np.inf))
     tol = TIE_TOL * grid_scale(values)
     tie = np.sum(grid >= values[:, :, None] - tol, axis=2) >= 2
     _block_rows(monkeypatch, rows, ys, zs)
@@ -232,6 +268,8 @@ def test_blocked_reduce_matches_the_full_grid(monkeypatch, market, rows):
     assert red.argmax.dtype == best.dtype
     np.testing.assert_array_equal(red.argmax, best)
     assert red.values.tobytes() == values.tobytes()
+    assert red.second.tobytes() == second.tobytes()
+    assert np.float64(red.lowest).tobytes() == grid.min().tobytes()
     np.testing.assert_array_equal(red.tie, tie)
     assert red.tie_tol == tol
     # the markets with exact z-ties have them, and the others have none
@@ -241,7 +279,7 @@ def test_blocked_reduce_matches_the_full_grid(monkeypatch, market, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
-@pytest.mark.parametrize("market", ["integer-table", "bilinear", "duplicate-z", "nz=1"])
+@pytest.mark.parametrize("market", MARKETS)
 def test_blocked_c_transforms_match_the_full_grid(monkeypatch, market, rows):
     s, xs, ys, zs = _blocked_markets()[market]
     grid = s.value_grid(xs, ys, zs)
@@ -254,6 +292,48 @@ def test_blocked_c_transforms_match_the_full_grid(monkeypatch, market, rows):
             == np.max(grid - V[None, :, None], axis=(1, 2)).tobytes())
     assert (red.c_transform_U(U).tobytes()
             == np.max(grid - U[:, None, None], axis=(0, 2)).tobytes())
+
+
+class _Table(SurplusModel):
+    """s read from a table at integer points; NaN and -inf allowed."""
+
+    dims = (1, 1, 1)
+
+    def __init__(self, table):
+        self.table = table
+
+    def _kernel(self, X, Y, Z):
+        return self.table[X[..., 0].astype(int), Y[..., 0].astype(int), Z[..., 0].astype(int)]
+
+
+def _along_axis_fold(grid):
+    """(argmax, values, second) by the along-axis helpers and a max over goods."""
+    grid = grid.copy()
+    arg = np.argmax(grid, axis=2)[:, :, None]
+    values = np.take_along_axis(grid, arg, axis=2)[:, :, 0]
+    np.put_along_axis(grid, arg, -np.inf, axis=2)
+    return arg[:, :, 0], values, np.max(grid, axis=2)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_reduce_folds_nan_and_minus_inf_cells_as_the_along_axis_fold(monkeypatch, rows):
+    table = np.random.default_rng(2).integers(0, 4, size=(7, 5, 6)).astype(float)
+    table[0, 0, 3] = np.nan           # the max is the first NaN
+    table[1, 2, [1, 4]] = np.nan      # and the runner-up the second
+    table[2, 1, 5] = -np.inf
+    table[3, 3] = -np.inf             # a column of -inf alone
+    table[4, 4, [0, 2]] = np.nan, -np.inf
+    s = _Table(table)
+    xs, ys, zs = (np.arange(n, dtype=float)[:, None] for n in table.shape)
+    best, values, second = _along_axis_fold(table)
+    _block_rows(monkeypatch, rows, ys, zs)
+    red = reduce(s, xs, ys, zs)
+    assert red.argmax.dtype == best.dtype
+    assert red.argmax.tobytes() == best.tobytes()
+    assert red.values.tobytes() == values.tobytes()
+    assert red.second.tobytes() == second.tobytes()
+    assert (red.argmax[0, 0], red.argmax[1, 2], red.argmax[4, 4]) == (3, 1, 0)
+    assert np.isnan(red.second[1, 2]) and red.second[3, 3] == -np.inf
 
 
 @pytest.mark.parametrize("cells", [1 << 12, 1 << 16, 1 << 30])  # 1 << 30: one block
@@ -278,7 +358,7 @@ def _fields(red):
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
-@pytest.mark.parametrize("market", ["integer-table", "bilinear", "duplicate-z", "nz=1"])
+@pytest.mark.parametrize("market", MARKETS)
 def test_every_solve_carries_reduce_bit_for_bit(monkeypatch, market, rows):
     # the three-index LPs fold the full grid they price; reduce folds blocks
     # of value_grid rows
