@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +49,27 @@ class DimensionMismatch(ValidationError):
 
 class BadAxes(ValidationError):
     pass
+
+
+class Record:
+    """A dataclass whose JSON form is its fields, each made plain by one
+    rule: an array becomes .tolist(), a tuple a list (with its tuples made
+    lists too), a dict gets string keys, and any other value stays as it
+    is.  Dict values and rows stay as they are, so they must already be
+    plain."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [list(v) if isinstance(v, tuple) else v for v in value]
+    if isinstance(value, dict):
+        return {str(k): v for k, v in value.items()}
+    return value
 
 
 def _as_points(points) -> np.ndarray:
@@ -96,7 +117,7 @@ def validate_measure(points, weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     """Finitely supported probability measure: points (n, d), weights (n,)."""
 
     points: np.ndarray
@@ -123,15 +144,9 @@ class DiscreteMeasure:
             raise ValidationError("a measure needs at least one point")
         return cls(pts, np.full(n, 1.0 / n))
 
-    def to_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Affine 1-D grid: `count` points evenly spaced over [lower, upper]."""
 
     lower: float
@@ -161,9 +176,6 @@ class GridSpec:
             return 0.0
         return (self.upper - self.lower) / (self.count - 1)
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "count": self.count}
-
 
 def as_point_array(obj) -> np.ndarray:
     """Accept a GridSpec or any point-like data; return a float (n, d) array."""
@@ -175,7 +187,7 @@ def as_point_array(obj) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DualPotentials:
+class DualPotentials(Record):
     """Buyer/seller payoff vectors U (over X) and V (over Y)."""
 
     U: np.ndarray
@@ -188,9 +200,6 @@ class DualPotentials:
             raise ValidationError("potentials must be finite")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "V", v)
-
-    def to_dict(self) -> dict:
-        return {"U": self.U.tolist(), "V": self.V.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,11 +438,8 @@ def coupling_objective(coupling: Coupling, surplus) -> float:
 def measure_to_csv(measure: DiscreteMeasure, path) -> None:
     """Write a measure as x1..xd,weight rows (header included)."""
     header = [f"x{i + 1}" for i in range(measure.dim)] + ["weight"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row, w in zip(measure.points, measure.weights):
-            writer.writerow([_fmt(v) for v in row] + [_fmt(w)])
+    _write_rows(path, [header] + [[_fmt(v) for v in row] + [_fmt(w)]
+                                  for row, w in zip(measure.points, measure.weights)])
 
 
 def measure_from_csv(path) -> DiscreteMeasure:
@@ -467,3 +473,11 @@ def measure_from_csv(path) -> DiscreteMeasure:
 def _fmt(value: float) -> str:
     """Deterministic float formatting shared by every CSV/JSON writer."""
     return "%.17g" % value
+
+
+def _write_rows(path, rows) -> None:
+    """Write rows of formatted fields as comma-separated lines, each ended by
+    a newline: every CSV writer's one format.  No field needs quoting.  rows
+    may be a generator; each row is written as it is made."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(",".join(row) + "\n" for row in rows)

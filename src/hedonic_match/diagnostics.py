@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clusters import gradient_clusters
-from .core import Coupling, DualPotentials, ValidationError, as_point_array, grid_scale
+from .core import (Coupling, DualPotentials, Record, ValidationError, as_point_array,
+                   grid_scale)
 from .reduction import _residual_fold, reduce
 from .surplus import (
     MissingUV,
@@ -52,21 +53,12 @@ class TooFewPoints(ValidationError):
 # --- stability --------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class StabilityReport:
+class StabilityReport(Record):
     max_grid_residual: float
     max_support_residual: float
     stable: bool
     worst_triple: dict
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "max_grid_residual": self.max_grid_residual,
-            "max_support_residual": self.max_support_residual,
-            "stable": self.stable,
-            "worst_triple": self.worst_triple,
-            "tol": self.tol,
-        }
 
 
 def _reduction_for(s, X, Y, Z, reduced):
@@ -191,7 +183,7 @@ def verify_stability(surplus_or_cost, coupling: Coupling,
 # --- purity -----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class PurityReport:
+class PurityReport(Record):
     pure: bool
     buyer_seller_pure: bool
     buyer_good_pure: bool
@@ -200,18 +192,6 @@ class PurityReport:
     F_Z: dict
     mass_threshold: float
     warnings: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "pure": self.pure,
-            "buyer_seller_pure": self.buyer_seller_pure,
-            "buyer_good_pure": self.buyer_good_pure,
-            "fan_out": {str(i): dict(v) for i, v in sorted(self.fan_out.items())},
-            "F_Y": {str(i): j for i, j in sorted(self.F_Y.items())},
-            "F_Z": {str(i): k for i, k in sorted(self.F_Z.items())},
-            "mass_threshold": self.mass_threshold,
-            "warnings": list(self.warnings),
-        }
 
 
 def check_purity(coupling: Coupling, warnings: tuple = ()) -> PurityReport:
@@ -254,19 +234,12 @@ def check_purity(coupling: Coupling, warnings: tuple = ()) -> PurityReport:
 # --- prices -----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class PriceTable:
+class PriceTable(Record):
     """Per-triple prices by both formulas: p = u − U and p′ = V − v."""
 
     rows: tuple
     max_discrepancy: float
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "max_discrepancy": self.max_discrepancy,
-            "tol": self.tol,
-        }
 
 
 def compute_prices(s, coupling: Coupling, potentials: DualPotentials) -> PriceTable:
@@ -302,7 +275,7 @@ def compute_prices(s, coupling: Coupling, potentials: DualPotentials) -> PriceTa
 # --- twist checkers ---------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class TwistReport:
+class TwistReport(Record):
     criterion: str
     verdict: str
     witness: dict | None = None
@@ -314,26 +287,19 @@ class TwistReport:
         if self.verdict == "fails" and self.witness is None:
             raise ValidationError("a failing verdict must carry a witness")
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "details": self.details,
-        }
-
 
 def check_compatibility_1d(s, points) -> TwistReport:
     """One-dimensional compatibility: s_xy · s_xz / s_yz > 0 at every sample.
 
     A vanishing product counts as a failure (witness value 0); a vanishing
-    s_yz denominator is a contract violation (DegenerateCross).
+    s_yz denominator, |s_yz| ≤ 1e-12·(|s_xy| + |s_xz|), is a contract
+    violation (DegenerateCross).
     """
     if tuple(s.dims) != (1, 1, 1):
         raise ValidationError("compatibility check is for 1-D models only")
     X, Y, Z = s._grids(*([triple[a] for triple in points] for a in range(3)))
     sxy, sxz, syz = (b[:, 0, 0] for b in s._hess(X, Y, Z))
-    degenerate = np.abs(syz) <= 1e-12 * (1.0 + np.abs(sxy) + np.abs(sxz))
+    degenerate = np.abs(syz) <= 1e-12 * (np.abs(sxy) + np.abs(sxz))
     with np.errstate(divide="ignore", invalid="ignore"):
         product = sxy * sxz / syz
     # the first point that is degenerate or failing decides the outcome
@@ -664,7 +630,7 @@ def _verify_separable(s, X, Y, Z) -> None:
 # --- support dimension ------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class SupportDimensionReport:
+class SupportDimensionReport(Record):
     """Local-PCA estimate of the support dimension, against the G bound.
 
     The estimate is heuristic: it counts covariance eigenvalues above a
@@ -680,19 +646,6 @@ class SupportDimensionReport:
     signature_bound: int | None = None
     signature_triple: tuple | None = None
     heuristic: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "mean_count": self.mean_count,
-            "local_counts": list(self.local_counts),
-            "radius": self.radius,
-            "cutoff": self.cutoff,
-            "signature_bound": self.signature_bound,
-            "signature_triple": (None if self.signature_triple is None
-                                 else list(self.signature_triple)),
-            "heuristic": self.heuristic,
-        }
 
 
 def _require_radius(radius) -> None:

@@ -18,12 +18,12 @@ every route adds to that one sum.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _fmt, as_point_array, grid_scale
+from .core import ValidationError, _fmt, _write_rows, as_point_array, grid_scale
 from .surplus import _block_rows
 
 TIE_TOL = 1e-10  # a fraction of the range of the reduced values
@@ -260,13 +260,10 @@ def _payoffs(P, n: int, label: str, axis: str) -> np.ndarray:
 
 
 def reduced_to_csv(reduced: ReducedSurplus, path) -> None:
-    """Write rows (i, j, sbar, z_index, tie_flag)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "sbar", "z_index", "tie_flag"])
-        n_x, n_y = reduced.shape
-        for i in range(n_x):
-            for j in range(n_y):
-                writer.writerow([i, j, _fmt(reduced.values[i, j]),
-                                 int(reduced.argmax[i, j]),
-                                 int(reduced.tie[i, j])])
+    """Write rows (i, j, sbar, z_index, tie_flag), made one x row at a time."""
+    rows = ([str(i), str(j), _fmt(v), str(k), str(int(t))]
+            for i in range(reduced.shape[0])
+            for j, (v, k, t) in enumerate(zip(reduced.values[i].tolist(),
+                                               reduced.argmax[i].tolist(),
+                                               reduced.tie[i].tolist())))
+    _write_rows(path, itertools.chain([["i", "j", "sbar", "z_index", "tie_flag"]], rows))

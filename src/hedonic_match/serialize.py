@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DualPotentials, ValidationError, _fmt
+from .core import DualPotentials, ValidationError, _fmt, _write_rows
 
 
 # the reports' keys: a few dozen names and the indices "0".."n-1" of the
@@ -74,14 +74,13 @@ def potentials_to_csv(potentials: DualPotentials, path,
                       z_potential=None) -> None:
     """Rows of axis,index,value for U, V and (when present) the good
     potential W."""
-    lines = ["axis,index,value"]
+    rows = [["axis", "index", "value"]]
     for name, vec in (("U", potentials.U), ("V", potentials.V),
                       ("W", z_potential)):
-        if vec is None:
-            continue
-        for i, val in enumerate(np.asarray(vec, dtype=float)):
-            lines.append(f"{name},{i},{_fmt(float(val))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if vec is not None:
+            rows += [[name, str(i), _fmt(val)]
+                     for i, val in enumerate(np.asarray(vec, dtype=float).tolist())]
+    _write_rows(path, rows)
 
 
 def potentials_from_csv(path) -> tuple[DualPotentials, np.ndarray | None]:

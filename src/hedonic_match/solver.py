@@ -43,6 +43,7 @@ from .core import (
     DiscreteMeasure,
     DimensionMismatch,
     DualPotentials,
+    Record,
     SOLVER_MARGINAL_TOL,
     ValidationError,
     as_point_array,
@@ -716,15 +717,10 @@ def max_over_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure, zs) -> AlphaSear
 # --- brute force ------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class BruteForceResult:
+class BruteForceResult(Record):
     objective: float
     assignment: tuple
     mode: str
-
-    def to_dict(self) -> dict:
-        return {"objective": self.objective,
-                "assignment": [list(t) for t in self.assignment],
-                "mode": self.mode}
 
 
 def _require_uniform(measure: DiscreteMeasure, label: str) -> None:
@@ -754,55 +750,45 @@ def brute_force(surplus_or_cost, mu: DiscreteMeasure, nu: DiscreteMeasure,
     _require_uniform(mu, "mu")
     _require_uniform(nu, "nu")
 
+    # table: the (n, n, n) grid over alpha's goods, or the (n, n) pair table,
+    # where a surplus model puts each pair at its best good, arg
+    arg = None
     if alpha is not None:
         if n > 5:
             raise TooLarge(f"tripartite brute force capped at n=5, got {n}")
         if alpha.size != n:
             raise ValidationError("tripartite brute force needs alpha of size n")
         _require_uniform(alpha, "alpha")
-        grid = surplus_or_cost.value_grid(mu.points, nu.points, alpha.points)
-        _require_finite(grid, "surplus grid")
-        w = 1.0 / n
-        best = -np.inf
-        best_assign = None
-        idx = list(range(n))
-        for sigma in itertools.permutations(idx):
-            for tau in itertools.permutations(idx):
-                val = w * float(sum(grid[i, sigma[i], tau[i]] for i in idx))
-                if val > best:
-                    best = val
-                    best_assign = tuple((i, sigma[i], tau[i]) for i in idx)
-        return BruteForceResult(objective=best, assignment=best_assign,
-                                mode="tripartite")
-
-    if n > 7:
-        raise TooLarge(f"bipartite brute force capped at n=7, got {n}")
-    if hasattr(surplus_or_cost, "value_grid"):
-        if z_points is None:
-            raise ValidationError("surplus-model brute force needs z_points")
-        z_pts = as_point_array(z_points)
-        grid = surplus_or_cost.value_grid(mu.points, nu.points, z_pts)
-        _require_finite(grid, "surplus grid")
-        pair_best = np.max(grid, axis=2)
-        pair_arg = np.argmax(grid, axis=2)
+        table = surplus_or_cost.value_grid(mu.points, nu.points, alpha.points)
+        _require_finite(table, "surplus grid")
     else:
-        pair_best = np.asarray(surplus_or_cost, dtype=float)
-        if pair_best.shape != (n, n):
-            raise DimensionMismatch(f"cost shape {pair_best.shape}, expected ({n}, {n})")
-        _require_finite(pair_best, "cost matrix")
-        pair_arg = None
+        if n > 7:
+            raise TooLarge(f"bipartite brute force capped at n=7, got {n}")
+        if hasattr(surplus_or_cost, "value_grid"):
+            if z_points is None:
+                raise ValidationError("surplus-model brute force needs z_points")
+            z_pts = as_point_array(z_points)
+            grid = surplus_or_cost.value_grid(mu.points, nu.points, z_pts)
+            _require_finite(grid, "surplus grid")
+            table = np.max(grid, axis=2)
+            arg = np.argmax(grid, axis=2)
+        else:
+            table = np.asarray(surplus_or_cost, dtype=float)
+            if table.shape != (n, n):
+                raise DimensionMismatch(f"cost shape {table.shape}, expected ({n}, {n})")
+            _require_finite(table, "cost matrix")
     w = 1.0 / n
     best = -np.inf
-    best_sigma = None
+    best_perms = None
     idx = list(range(n))
-    for sigma in itertools.permutations(idx):
-        val = w * float(sum(pair_best[i, sigma[i]] for i in idx))
+    # one permutation per axis after the first; the first best wins
+    for perms in itertools.product(itertools.permutations(idx), repeat=table.ndim - 1):
+        val = w * float(sum(table[k] for k in zip(idx, *perms)))
         if val > best:
             best = val
-            best_sigma = sigma
-    if pair_arg is None:
-        assignment = tuple((i, best_sigma[i]) for i in idx)
-    else:
-        assignment = tuple((i, best_sigma[i], int(pair_arg[i, best_sigma[i]]))
-                           for i in idx)
-    return BruteForceResult(objective=best, assignment=assignment, mode="bipartite")
+            best_perms = perms
+    assignment = tuple(zip(idx, *best_perms))
+    if arg is not None:
+        assignment = tuple(k + (int(arg[k]),) for k in assignment)
+    return BruteForceResult(objective=best, assignment=assignment,
+                            mode="bipartite" if alpha is None else "tripartite")

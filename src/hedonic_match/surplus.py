@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import DimensionMismatch, ValidationError, as_point_array
+from .core import DimensionMismatch, Record, ValidationError, as_point_array
 
 ZERO_EIG_REL = 1e-9
 PIVOT_REL_TOL = 1e-10
@@ -181,13 +181,15 @@ def _canon_point(p, want: int, axis: str) -> np.ndarray:
 
 def _snap(nodes, points, labels: str) -> tuple:
     """Per axis, the index of the node each 1-D point sits on (snap tolerance
-    1e-8 relative to the node span); OutOfGrid when any is off the nodes."""
+    1e-8 of the node span; a one-node axis has no span and uses its node's
+    magnitude, so a node at 0 matches only 0); OutOfGrid when any is off the
+    nodes."""
     out = []
     for n, P, label in zip(nodes, points, labels):
         q = P[..., 0]
         idx = np.argmin(np.abs(n - q[..., None]), axis=-1)
-        span = float(n[-1] - n[0]) if n.size > 1 else 1.0
-        off = ~(np.abs(n[idx] - q) <= 1e-8 * (1.0 + abs(span)))
+        span = float(n[-1] - n[0]) if n.size > 1 else abs(float(n[0]))
+        off = ~(np.abs(n[idx] - q) <= 1e-8 * span)
         if np.any(off):
             raise OutOfGrid(f"{label} = {q[off].flat[0]} is not a grid node")
         out.append(idx)
@@ -685,8 +687,8 @@ class StrictlyHedonicSurplus(SurplusModel):
 class TabulatedSurplus(SurplusModel):
     """Dense value grid over three 1-D node sets (_table).
 
-    Queries must hit grid nodes (snap tolerance 1e-8 relative); there is no
-    extrapolation.
+    Queries must hit grid nodes (snap tolerance 1e-8 of the node span, see
+    _snap); there is no extrapolation.
     """
 
     family = "tabulated"
@@ -840,7 +842,7 @@ def _reduced_matrix(A, B, C) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CrossCheck:
+class CrossCheck(Record):
     """Reduced n×n comparison matrix M = D²zy[D²xy]⁻¹D²xz + D²zx[D²yx]⁻¹D²yz
     and the integer identity (λ₊, λ₋) = (n + r₋, n + r₊) it implies.
     """
@@ -851,16 +853,6 @@ class CrossCheck:
     r_negative: int
     r_zero: int
     consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "r_positive": self.r_positive,
-            "r_negative": self.r_negative,
-            "r_zero": self.r_zero,
-            "consistent": self.consistent,
-        }
 
 
 @dataclass(frozen=True, eq=False)

@@ -1239,7 +1239,7 @@ def test_a_reduction_of_other_points_is_refused():
 
 
 class _Affine(SurplusModel):
-    """c·s + t for a base model s: its values and gradients."""
+    """c·s + t for a base model s: its values, gradients and Hessian blocks."""
 
     def __init__(self, base, c, t=0.0):
         self.base, self.c, self.t = base, c, t
@@ -1253,6 +1253,9 @@ class _Affine(SurplusModel):
 
     def _grad(self, X, Y, Z):
         return tuple(self.c * g for g in self.base._grad(X, Y, Z))
+
+    def _hess(self, X, Y, Z):
+        return tuple(self.c * h for h in self.base._hess(X, Y, Z))
 
 
 AFFINE = [(1e-12, 0.0), (1e-6, 0.0), (1e6, 0.0), (1e12, 0.0),
@@ -1281,3 +1284,23 @@ def test_splitting_sets_are_scale_free(market, c, t):
     assert rep.verdict == ref_rep.verdict
     assert rep.details == ref_rep.details
     assert samples[0].tol == pytest.approx(c * ref[0].tol, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 13))
+@pytest.mark.parametrize("model", ["supermodular", "counterexample"])
+def test_compatibility_is_scale_free(model, c):
+    # s = xyz holds and the counterexample fails at interior points, at every
+    # scale of s; the product s_xy·s_xz/s_yz scales with c
+    if model == "supermodular":
+        s, pts, verdict = (Supermodular1DSurplus((1, 1, 1)),
+                           [([0.5], [0.5], [0.5]), ([1.0], [2.0], [0.5])], "holds")
+    else:
+        s, pts, verdict = CounterexampleSurplus(0.5), [([0.75], [0.25], [0.5])], "fails"
+
+    def product(rep):
+        return rep.details["min_product"] if verdict == "holds" else rep.witness["product"]
+
+    ref = check_compatibility_1d(s, pts)
+    rep = check_compatibility_1d(_Affine(s, c), pts)
+    assert rep.verdict == ref.verdict == verdict
+    assert product(rep) == pytest.approx(c * product(ref), rel=1e-12)

@@ -385,6 +385,25 @@ def test_tabulated_surplus_snaps_and_rejects():
         s.value([np.nan], [0.0], [0.0])
 
 
+@pytest.mark.parametrize("c", 10.0 ** np.arange(-10, 11, 2))
+@pytest.mark.parametrize("kind", ["surplus", "component"])
+def test_tabulated_snap_is_scale_free(kind, c):
+    # p on nodes c·(0, 1, 2, 3) with value i at node i, and z on one node at c
+    nodes = c * np.arange(4.0)
+    if kind == "surplus":
+        s = TabulatedSurplus(np.arange(4.0).reshape(4, 1, 1), nodes, [c], [c])
+        value = lambda p, z: s.value([p], [c], [z])  # noqa: E731
+    else:
+        u = TabulatedComponent(np.arange(4.0).reshape(4, 1), nodes, [c])
+        value = lambda p, z: u.value([p], [z])  # noqa: E731
+    for i, p in enumerate(nodes):
+        assert value(p, c) == i
+    assert value(np.nextafter(nodes[2], np.inf), np.nextafter(c, 0.0)) == 2
+    for p, z in ((0.5 * c, c), (2.5 * c, c), (c, 2.0 * c), (c, 0.0)):
+        with pytest.raises(OutOfGrid):
+            value(p, z)
+
+
 def test_tabulated_component_gradients_on_linear_table():
     # u = p * z tabulated exactly: central differences recover z and p
     p_nodes = np.array([0.0, 0.5, 1.0])
