@@ -17,8 +17,9 @@ acceptance checks compare genuinely different code paths:
 - column generation: a revised simplex over a working set of cells (Dantzig
   pricing over the set, the largest pivot element on ratio ties, Bland's
   rule after a run of degenerate pivots, B⁻¹ formed only once a pivot needs
-  it and then kept in product form, a feasible start and no phase 1), grown
-  by passes that price the whole grid until one adds no cell.  It solves
+  it and then kept in product form, and the staircase start solved by
+  substitution, so no phase 1 and no LAPACK call before the first pivot),
+  grown by passes that price the whole grid until one adds no cell.  It solves
   direct_lp's pair LP, whose passes read the reduction, and the fixed-alpha
   LP, whose passes fold s − U ⊕ V ⊕ W block by block.  No grid is held.
 
@@ -135,6 +136,10 @@ def _staircase(*weights: np.ndarray) -> tuple[list[tuple[int, ...]], list[float]
     axes, but once the first axis is at its last index it no longer counts,
     and the last row takes what is left of the others, so that a shortfall
     of rounding in the row weights cannot leave a zero-mass cell there.
+
+    Its basis is triangular: each cell but the last takes what is left of
+    the row it leaves (forward substitution of B x = rhs), and in reverse
+    order each brings in one new row (_path_duals).
     """
     rem = [w.tolist() for w in weights]  # Python floats: a step costs no numpy call
     last = [len(r) - 1 for r in rem]
@@ -386,6 +391,25 @@ def _basis_matrix(basis: np.ndarray, shape: tuple) -> np.ndarray:
     return B
 
 
+def _path_duals(path: np.ndarray, c: np.ndarray, shape: tuple) -> np.ndarray:
+    """Bᵀy = c by one backward pass over the staircase, its cells as flat ids
+    in path order: each brings in one row (the last, X row nx − 1), whose
+    dual is c less the duals known, taken in X, Y, Z order."""
+    nx, ny, nz = shape
+    U, V, W = [0.0] * nx, [0.0] * ny, [0.0] * nz
+    i, j, k = (t.tolist() for t in np.unravel_index(path, shape))
+    i.append(nx)  # the last cell steps out of the grid along X
+    for p, v in zip(range(path.size - 1, -1, -1), reversed(c.tolist())):
+        a, b, g = i[p], j[p], k[p]
+        if a < i[p + 1]:
+            U[a] = v - V[b] - W[g]
+        elif b < j[p + 1]:
+            V[b] = v - U[a] - W[g]
+        else:
+            W[g] = v - U[a] - V[b]
+    return np.array(U + V[:-1] + W[:-1])
+
+
 def _duals(y: np.ndarray, nx: int, ny: int):
     """U, V and W from the row duals; the last Y and Z rows are dropped, so
     their duals are 0, and W is [0] on the pair LP."""
@@ -395,19 +419,20 @@ def _duals(y: np.ndarray, nx: int, ny: int):
 
 
 def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
-                  basis: np.ndarray, shape: tuple, scale: float, price, check):
+                  start: tuple, shape: tuple, scale: float, price, check):
     """Primal revised simplex (maximization) over a working set of cells,
-    from a feasible basis of one cell per row (m rows) among them: cells are
-    flat ids in ascending order and vals their s values.
+    flat ids in ascending order with s values vals, from the staircase
+    start: its m cells, one a row, as flat ids in path order and its masses.
 
     Each pivot prices the working set, basic cells masked, and enters the
     largest reduced cost (first cell on ties), or after DEGEN_RUN·m
     degenerate pivots in a row the first cell that prices out (Bland) until
     mass moves, so it cannot cycle.  Leaves the smallest ratio: on ties the
     largest pivot element, which keeps long runs of degenerate pivots short,
-    or under Bland's rule the smallest cell.  A factorisation solves B for
-    the basic masses and Bᵀ for the duals; B⁻¹ = inv(B) is formed at the
-    first pivot after it, so a solve that makes no pivot forms none, and
+    or under Bland's rule the smallest cell.  The start's duals come by
+    substitution (_path_duals); a refactorisation solves B for the basic
+    masses and Bᵀ for the duals.  B⁻¹ = inv(B) is formed at the first pivot
+    after either, so LAPACK runs only there and at a refactorisation, and
     each pivot since adds an eta vector: B⁻¹ in product form, no m×m update.
     B is refactorised every REFACTOR_EVERY pivots, before the working set is
     left, and in place of a pivot on an element at most RATIO_TOL times the
@@ -427,6 +452,7 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     masses and values, the row duals and the largest reduced cost off the
     basis that the certifying pass found.
     """
+    basis, xB = start[0], np.array(start[1])
     m = basis.size
     check(cells.size)
     enter_tol = ENTER_TOL * scale
@@ -441,8 +467,7 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
     i, j, k = np.unravel_index(cells, shape)
     at = np.searchsorted(cells, basis)  # each basic cell's place in the working set
     cB = vals[at]
-    xB = y = Binv = etas = None
-    factor()
+    y, Binv, etas = _path_duals(basis, cB, shape), None, []
     assert xB.min() >= -MASS_CLAMP, "start is not feasible"
 
     iterations = degenerate_run = 0
@@ -555,8 +580,8 @@ def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> S
     northwest-corner start.  A pricing pass is the reduction's residual
     under the duals; the largest reduced cost off the basis counts the
     runner-up good of each basic pair too, for the degenerate flag."""
-    start = np.ravel_multi_index(np.transpose(_staircase(mu.weights, nu.weights)[0]),
-                                 red.shape)
+    path, masses = _staircase(mu.weights, nu.weights)
+    start = np.ravel_multi_index(np.transpose(path), red.shape)
     cells = np.sort(start)
     enter_tol = ENTER_TOL * red.grid_scale
 
@@ -568,7 +593,7 @@ def _pair_lp(red: ReducedSurplus, mu: DiscreteMeasure, nu: DiscreteMeasure) -> S
         top = max(res.max(), ((red.second[i, j] - U[i]) - V[j]).max())
         return new, red.values.flat[new], top
 
-    return _cell_lp(red, cells, red.values.flat[cells], start, price, mu, nu)
+    return _cell_lp(red, cells, red.values.flat[cells], (start, masses), price, mu, nu)
 
 
 # --- hybrid and tripartite solves -------------------------------------------
@@ -628,8 +653,8 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
     scale = red.grid_scale
     if not np.isfinite(scale):
         raise ValidationError("surplus grid must be finite, with a finite range")
-    start = np.ravel_multi_index(
-        np.transpose(_staircase(mu.weights, nu.weights, alpha.weights)[0]), shape)
+    path, masses = _staircase(mu.weights, nu.weights, alpha.weights)
+    start = np.ravel_multi_index(np.transpose(path), shape)
     most = PRICE_CAP * start.size
     lift = solve_bipartite(red.values, mu, nu).potentials
     seed = _residual_fold(s, X, Y, Z, lift.U, lift.V, np.zeros(alpha.size),
@@ -643,7 +668,7 @@ def solve_tripartite_fixed_alpha(s, mu: DiscreteMeasure, nu: DiscreteMeasure,
         found = _residual_fold(s, X, Y, Z, U, V, W, ENTER_TOL * scale, basis, most)
         return found.cells, found.values, found.peak
 
-    return _cell_lp(red, cells, vals, start, price, mu, nu, alpha)
+    return _cell_lp(red, cells, vals, (start, masses), price, mu, nu, alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,13 @@
 stability check against sparse HiGHS, across scales, shifts, permutations
 and skewed weights; and the tie flags of reduce across scales and shifts."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,7 +424,8 @@ def test_a_solve_without_pivots_forms_no_inverse(monkeypatch):
     res = solve_hybrid(s, DiscreteMeasure.uniform(pts), DiscreteMeasure.uniform(pts ** 2),
                        np.linspace(0.0, 1.0, 7)[:, None], method="direct_lp")
     assert res.iterations == 0
-    assert calls == {"inv": 0, "solve": 2}
+    # the start is solved by substitution, and no refactorisation is needed
+    assert calls == {"inv": 0, "solve": 0}
 
 
 def test_each_factorisation_a_pivot_follows_forms_one_inverse(monkeypatch):
@@ -429,13 +435,48 @@ def test_each_factorisation_a_pivot_follows_forms_one_inverse(monkeypatch):
     passes = _count_passes(monkeypatch)
     res = solve_tripartite_fixed_alpha(inst.surplus, inst.mu, inst.nu, alpha)
     assert res.iterations > solver.REFACTOR_EVERY
-    # the start, one every REFACTOR_EVERY pivots and at most one before each
-    # pricing pass (the seed pass is not one); no pivot follows the last
-    factorisations = calls["solve"] // 2
-    assert calls["solve"] == 2 * factorisations
-    assert calls["inv"] == factorisations - 1
+    # no factorisation at the start; one every REFACTOR_EVERY pivots and at
+    # most one before each pricing pass (the seed pass is not one)
+    refactorisations = calls["solve"] // 2
+    assert calls["solve"] == 2 * refactorisations
+    # one inverse at the first pivot and one after each refactorisation but
+    # the last, which no pivot follows
+    assert calls["inv"] == refactorisations
     periodic = res.iterations // solver.REFACTOR_EVERY
-    assert periodic < factorisations - 1 <= periodic + len(passes) - 1
+    assert periodic < refactorisations <= periodic + len(passes) - 1
+
+
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from hedonic_match.core import DiscreteMeasure
+from hedonic_match.serialize import dumps_json
+from hedonic_match.solver import solve_hybrid
+from hedonic_match.surplus import BilinearSurplus
+
+rng = np.random.default_rng(27)
+X, Y, Z = (np.sort(rng.uniform(size=n))[:, None] for n in (120, 120, 17))
+s = BilinearSurplus([[0.6]], [[-1.2]], [[-0.8]], D=[[-0.7]], f=[0.0, 0.3],
+                    g=[0.0, -0.4], h=[0.0, -0.2])
+res = solve_hybrid(s, DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y), Z,
+                   method="direct_lp")
+sys.stdout.write(dumps_json(res.to_dict()))
+"""
+
+
+def test_a_solve_without_pivots_gives_one_answer_at_every_blas_thread_count():
+    # the bench's dense diagnose market: s falls with z, so the staircase is
+    # optimal, and its solve by substitution calls no LAPACK routine
+    src = str(Path(solver.__file__).parents[1])
+
+    def solve(threads):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    one = solve(1)
+    assert json.loads(one)["iterations"] == 0
+    assert solve(2) == one
 
 
 # m < 90 rows: at n = 60, expcos s0 took 461 pivots with two BLAS threads
@@ -526,6 +567,42 @@ def test_staircase_steps_one_axis_at_a_time_and_carries_the_marginals(data, axes
         carried = np.zeros(w.size)
         np.add.at(carried, path[:, ax], masses)
         np.testing.assert_allclose(carried, w, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), axes=st.sampled_from([2, 3]),
+       scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e9]), shift=st.sampled_from([0.0, 1e6]))
+def test_the_staircase_solved_by_substitution_is_the_lu_answer(data, axes, scale, shift):
+    weights = []
+    for _ in range(axes):
+        raw = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                                 min_size=1, max_size=12).filter(any))
+        weights.append(np.array(raw) / sum(raw))
+    shape = tuple(w.size for w in weights) + (1,) * (3 - axes)
+    path, masses = solver._staircase(*weights)
+    basis = np.ravel_multi_index(np.transpose(path), shape[:axes])
+    m = basis.size
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    c = scale * rng.uniform(-1.0, 1.0, size=m) + shift
+    rhs = np.concatenate([weights[0]] + [w[:-1] for w in weights[1:]])
+    B = solver._basis_matrix(basis, shape)
+    x, y = np.array(masses), solver._path_duals(basis, c, shape)
+    eps = np.finfo(float).eps
+    x_lu, y_lu = np.linalg.solve(B, rhs), np.linalg.solve(B.T, c)
+    assert np.abs(x - x_lu).max() <= m * eps * np.abs(x_lu).max()
+    magnitude = np.abs(np.concatenate([c, y_lu])).max()
+    assert np.abs(y - y_lu).max() <= m * eps * magnitude
+    # each basic cell is tight, its duals taken in the pricing's order
+    U, V, W = solver._duals(y, shape[0], shape[1])
+    i, j, k = np.unravel_index(basis, shape)
+    assert np.abs(c - U[i] - V[j] - W[k]).max() <= 4 * eps * magnitude
+    # in reverse path order each cell brings in one new row: B is triangular
+    seen = set()
+    for t in reversed(basis.tolist()):
+        rows = {row for row, on in solver._cell_rows(t, shape) if on}
+        assert len(rows - seen) == 1
+        seen |= rows
+    assert seen == set(range(m))
 
 
 @pytest.mark.parametrize("seed, n", [(13, 18), (22, 18), (5, 24)])
