@@ -9,11 +9,13 @@ block, and _reduce_bytes counts it by the same rule, surplus._block_rows.
 _fold reads a C-contiguous, writeable block as one row of goods a pair and
 as a flat view of the same memory: a row-wise argmax finds each pair's best
 good, its flat index gathers the value and strikes it to -inf, and a second
-argmax finds the runner-up.  Both free-z methods solve their pair LP on its
-values, and the fixed-alpha LP prices by _residual_fold, the one pass of
-s − U ⊕ V ⊕ W over the grid.  The c-transforms are maxima of the
-reduction's residual.  reduce checks its estimate against LP_BYTES_LIMIT;
-every route adds to that one sum.
+argmax finds the runner-up.  After the loop, tie is compared one block of
+rows at a time, and boundary gathers a bounding-box flag per good at each
+pair's argmax, so the fold peaks at the reduction and one block.  Both
+free-z methods solve their pair LP on its values, and the fixed-alpha LP
+prices by _residual_fold, the one pass of s − U ⊕ V ⊕ W over the grid.  The
+c-transforms are maxima of the reduction's residual.  reduce checks its
+estimate against LP_BYTES_LIMIT; every route adds to that one sum.
 """
 
 from __future__ import annotations
@@ -45,18 +47,19 @@ def _check_bytes(need: int, problem: str, parts: str) -> None:
                        f"(limit {LP_BYTES_LIMIT / 2**20:,.0f} MiB)")
 
 
-def _reduce_bytes(nx: int, ny: int, nz: int, dz: int) -> int:
+def _reduce_bytes(nx: int, ny: int, nz: int) -> int:
     """From above, the most a reduction costs its caller: the reduction (26
-    bytes a pair), _fold's temporaries (8 + 11·dz a pair after its block
-    loop, and a grid block with its kernel's, four words a cell of
-    min(nx, _block_rows(ny·nz)) x rows) and the float a pair of work array
-    that every consumer makes, a transport pricing buffer or a residual.
-    The loop's flat pass holds the block (a C-order copy too, while it is
-    made) and four intp arrays the size of the block's pairs: within the
-    four words a cell when nz ≥ 2, and within them and the pair terms not
-    yet in use when nz = 1.  Not counted: some kilobytes of fixed overhead,
-    which exceed the estimate only on grids of a few hundred cells."""
-    return nx * ny * (42 + 11 * dz) + 32 * min(nx, _block_rows(ny * nz)) * ny * nz
+    bytes a pair), the float a pair of work array that every consumer makes
+    (a transport pricing buffer or a residual), and a grid block with its
+    kernel's temporaries, four words a cell of min(nx, _block_rows(ny·nz)) x
+    rows.  The fold's loop holds the block (a C-order copy too, while it is
+    made) and four intp arrays the size of the block's pairs: within the four
+    words a cell when nz ≥ 2, and within them and the pair terms not yet in
+    use when nz = 1.  After the loop, a tie block's float a pair sits within
+    the work array, which is not yet made.  The size of a good is not a
+    term.  Not counted: some kilobytes of fixed overhead, which exceed the
+    estimate only on grids of a few hundred cells."""
+    return 34 * nx * ny + 32 * min(nx, _block_rows(ny * nz)) * ny * nz
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +167,14 @@ def _fold(blocks, shape: tuple[int, int], Z: np.ndarray) -> ReducedSurplus:
         flat[at] = -np.inf
         second[rows] = flat[start + cells.argmax(axis=1)].reshape(pairs)
     tie_tol = TIE_TOL * grid_scale(values)
-    tie = second >= values - tie_tol
-    lo = Z.min(axis=0)
-    hi = Z.max(axis=0)
-    sel = Z[best]
-    on_box = np.any((sel == lo) | (sel == hi), axis=2)
+    tie = np.empty(shape, dtype=bool)
+    step = _block_rows(shape[1])
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, lo + step)
+        np.greater_equal(second[rows], values[rows] - tie_tol, out=tie[rows])
+    on_box = np.any((Z == Z.min(axis=0)) | (Z == Z.max(axis=0)), axis=1)
     return ReducedSurplus(values=values, argmax=best, second=second, tie=tie,
-                          boundary=on_box, z_points=Z, lowest=float(np.min(lows)),
+                          boundary=on_box[best], z_points=Z, lowest=float(np.min(lows)),
                           tie_tol=tie_tol)
 
 
@@ -187,7 +191,7 @@ def reduce(s, xs, ys, zs) -> ReducedSurplus:
     X = _require_points(xs, "X")
     Y = _require_points(ys, "Y")
     Z = _require_points(zs, "Z")
-    _check_bytes(_reduce_bytes(len(X), len(Y), *Z.shape),
+    _check_bytes(_reduce_bytes(len(X), len(Y), len(Z)),
                  f"{len(X)}x{len(Y)} reduction over {len(Z)} goods", "its fold and work array")
     return _fold(s._grid_blocks(X, Y, Z), (X.shape[0], Y.shape[0]), Z)
 

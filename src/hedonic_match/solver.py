@@ -543,13 +543,14 @@ def _cell_simplex(cells: np.ndarray, vals: np.ndarray, rhs: np.ndarray,
 
 def _check_lp(measures, Z: np.ndarray, cells: int = 0) -> None:
     """TooLarge when an LP over the measures would hold more than the limit:
-    reduce()'s estimate over the goods Z, B and B⁻¹ with its eta file, and
+    reduce()'s estimate over the goods Z (34 bytes a pair and a grid block;
+    the goods' dimension is not a term), B and B⁻¹ with its eta file, and
     seven words for each of `cells` working cells (id, value, three axis
     indices, reduced cost and a gathered dual).  Checked before anything is
     allocated, then by _cell_simplex on its start and before each growth."""
     sizes = [measure.size for measure in measures]
     m = sum(sizes) - len(sizes) + 1
-    _check_bytes(_reduce_bytes(sizes[0], sizes[1], *Z.shape)
+    _check_bytes(_reduce_bytes(sizes[0], sizes[1], len(Z))
                  + 8 * m * (2 * m + REFACTOR_EVERY) + 56 * cells,
                  f"{'x'.join(map(str, sizes))} LP",
                  f"its reduction, B, B^-1 and {cells:,} working cells")

@@ -17,6 +17,8 @@ scalar, row-paired and product-grid evaluators, the scalar derivative
 methods and value_u/value_v from them, so every form rounds identically.
 Blocked passes over a grid, and reduction's estimate of them, read _block_rows.
 Matrix terms are stacked matmuls, which round like M @ p for a single point.
+Polynomial terms use Horner's rule in numpy.polynomial.polyval's order of
+operations, so they round as polyval does.
 
 The G matrix stacks the mixed Hessian blocks with zero diagonal blocks; its
 eigenvalue signature bounds the dimension of any stable support.  Eigenvalues
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import DimensionMismatch, Record, ValidationError, as_point_array
 
@@ -97,27 +98,38 @@ def _canon_poly(coeffs, dim: int, label: str) -> list[np.ndarray]:
     return out
 
 
+def _horner(c: np.ndarray, x: np.ndarray):
+    """Σ_k c[k] x^k by Horner's rule in numpy.polynomial.polyval's order of
+    operations, so with its rounding: c[-1] + x·0, then c[k] + out·x."""
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
+
+
 def _poly_val(polys: list[np.ndarray], pts: np.ndarray):
     """Σ_d polys[d](pts[..., d]) over points of shape (..., d)."""
     total = 0.0
     for d, c in enumerate(polys):
-        total = total + npoly.polyval(pts[..., d], c)
+        total = total + _horner(c, pts[..., d])
     return total
 
 
 def _poly_der(polys: list[np.ndarray], pts: np.ndarray) -> np.ndarray:
-    """Gradient of Σ_d polys[d](p_d) over points of shape (..., d)."""
-    return np.stack([npoly.polyval(pts[..., d], npoly.polyder(c))
+    """Gradient of Σ_d polys[d](p_d) over points of shape (..., d), from the
+    coefficients j·c[j] (0·c[0] for a constant), as polyder forms them."""
+    return np.stack([_horner((np.arange(len(c)) * c)[min(1, len(c) - 1):], pts[..., d])
                      for d, c in enumerate(polys)], axis=-1)
 
 
-def _polys_to_jsonable(polys: list[np.ndarray]):
-    lists = [p.tolist() for p in polys]
-    if all(lst == [0.0] for lst in lists):
-        return None
-    if len(lists) == 1:
-        return lists[0]
-    return lists
+def _with_polys(out: dict, **polys) -> dict:
+    """out with each polynomial term that is not zero, as a flat list on a
+    1-D axis and a list of lists otherwise."""
+    for key, comps in polys.items():
+        lists = [c.tolist() for c in comps]
+        if any(lst != [0.0] for lst in lists):
+            out[key] = lists[0] if len(lists) == 1 else lists
+    return out
 
 
 def _pair(P: np.ndarray, M: np.ndarray, Q: np.ndarray):
@@ -357,18 +369,9 @@ class BilinearSurplus(SurplusModel):
         return _mat(lead, self.A), _mat(lead, self.B), _mat(lead, self.C)
 
     def to_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-        }
-        for key, polys in (("f", self.f), ("g", self.g), ("h", self.h)):
-            payload = _polys_to_jsonable(polys)
-            if payload is not None:
-                out[key] = payload
-        return out
+        return _with_polys({"family": self.family, "A": self.A.tolist(), "B": self.B.tolist(),
+                            "C": self.C.tolist(), "D": self.D.tolist()},
+                           f=self.f, g=self.g, h=self.h)
 
 
 class CounterexampleSurplus(SurplusModel):
@@ -590,12 +593,8 @@ class BilinearComponent(_Component):
         return _mat(_lead(P, Z), self.M)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "M": self.M.tolist(), "Dz": self.Dz.tolist()}
-        for key, polys in (("f", self.f), ("h", self.h)):
-            payload = _polys_to_jsonable(polys)
-            if payload is not None:
-                out[key] = payload
-        return out
+        return _with_polys({"kind": self.kind, "M": self.M.tolist(), "Dz": self.Dz.tolist()},
+                           f=self.f, h=self.h)
 
 
 class TabulatedComponent(_Component):

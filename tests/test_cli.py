@@ -288,7 +288,7 @@ def test_a_reduction_just_over_the_limit_exits_2_before_allocating(tmp_path, mon
     dump_json(s.to_dict(), tmp_path / "surplus.json")
     argv = ["reduce", "--surplus", str(tmp_path / "surplus.json"), "--x-grid", "0:1:300",
             "--y-grid", "0:1:200", "--z-grid", "0:1:5", "--out", str(tmp_path)]
-    need = reduction._reduce_bytes(300, 200, 5, 1)
+    need = reduction._reduce_bytes(300, 200, 5)
     cli.build_parser()
 
     def traced(limit):
@@ -676,6 +676,31 @@ def test_import_builds_no_parser_and_main_builds_one(tmp_path):
     assert at_import == 0
     assert first > 0
     assert second == first
+
+
+_UNUSED_MODULES = """
+import sys
+import hedonic_match
+from hedonic_match import cli
+out = sys.argv[1]
+market = ["--random-instance", "1", "--n", "8", "--nz", "5"]
+assert cli.main(["solve", *market, "--out", out + "/solve"]) == 0
+assert cli.main(["diagnose", "--method", "reduce_lift", *market, "--out", out + "/diagnose"]) == 0
+print("loaded:", *(m for m in sys.modules if m.split(".")[:2] in (["numpy", "polynomial"],
+                                                                   ["numpy", "ma"])))
+"""
+
+
+def test_solve_and_diagnose_load_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
+    # Each costs every process memory and import time for nothing it needs:
+    # the surplus polynomials are evaluated by Horner's rule, and in numpy
+    # 2.4 a plain np.unique(a) (no return_* flag, no axis) imports numpy.ma
+    # (about 1.3 MB) at its first call; the package's np.unique calls pass
+    # return_inverse or return_index and load nothing.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _UNUSED_MODULES, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1].split() == ["loaded:"]
 
 
 def test_a_reduce_lift_solve_too_large_for_the_limit_exits_2(tmp_path, monkeypatch, capsys):

@@ -652,7 +652,7 @@ def test_diagnostics_without_a_reduction_refuse_before_allocating(monkeypatch, c
         "splitting": lambda: sample_splitting_sets(s, xs, zero, xs, zs),
         "strictly_hedonic": lambda: check_strictly_hedonic(u, v, xs, xs, zs),
     }[check]
-    need = reduction._reduce_bytes(n, n, nz, 1)
+    need = reduction._reduce_bytes(n, n, nz)
     monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", need - 1)
     tracemalloc.start()
     try:

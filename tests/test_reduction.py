@@ -336,18 +336,34 @@ def test_reduce_folds_nan_and_minus_inf_cells_as_the_along_axis_fold(monkeypatch
     assert np.isnan(red.second[1, 2]) and red.second[3, 3] == -np.inf
 
 
+def _lattice_market(n=300, nz=33, steps=600):
+    """A counterexample market with a > 1/2 on a lattice, goods at step
+    1/(2a) of it: the sorted start is optimal and the goods stay interior."""
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.6, 1.5)
+    xs, ys = (np.sort(rng.choice(steps, n, replace=False))[:, None] / steps for _ in "xy")
+    return CounterexampleSurplus(a), xs, ys, np.arange(nz)[:, None] / (2.0 * a * steps)
+
+
+def _instance_market(family):
+    inst = random_instance(0, n=200, nz=33, family=family)
+    return inst.surplus, inst.mu.points, inst.nu.points, inst.z_points
+
+
 @pytest.mark.parametrize("cells", [1 << 12, 1 << 16, 1 << 30])  # 1 << 30: one block
 def test_the_reduce_estimate_counts_the_blocks_of_the_rule(monkeypatch, cells):
-    # the estimate reads the block rule when it is asked, as _grid_blocks does
-    inst = random_instance(0, n=200, nz=33, family="bilinear")
+    # the estimate reads the block rule when it is asked, as _grid_blocks does,
+    # and the goods' dimension does not enter it (expcos goods have d = 2)
     monkeypatch.setattr(surplus, "_GRID_BLOCK_CELLS", cells)
-    tracemalloc.start()
-    try:
-        reduce(inst.surplus, inst.mu.points, inst.nu.points, inst.z_points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= reduction._reduce_bytes(200, 200, *inst.z_points.shape)
+    for s, xs, ys, zs in [_instance_market("bilinear"), _instance_market("expcos"),
+                          _lattice_market()]:
+        tracemalloc.start()
+        try:
+            reduce(s, xs, ys, zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= reduction._reduce_bytes(len(xs), len(ys), len(zs))
 
 
 def _fields(red):

@@ -150,6 +150,73 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _npoly_val(polys, pts):
+    """The polynomial terms as numpy.polynomial evaluates them."""
+    from numpy.polynomial import polynomial as npoly
+    total = 0.0
+    for d, c in enumerate(polys):
+        total = total + npoly.polyval(pts[..., d], c)
+    return total
+
+
+def _npoly_der(polys, pts):
+    from numpy.polynomial import polynomial as npoly
+    return np.stack([npoly.polyval(pts[..., d], npoly.polyder(c))
+                     for d, c in enumerate(polys)], axis=-1)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("length", range(1, 7))
+def test_horner_rounds_as_numpy_polynomial(length, scale):
+    rng = np.random.default_rng([length, int(np.log10(scale)) + 8])
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, -1.0]
+    pts = np.concatenate([rng.normal(scale=scale, size=(50, 2)),
+                          rng.normal(scale=1 / scale, size=(50, 2)),
+                          np.array([(a, b) for a in special for b in special])])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf·0 and overflow on both sides
+        for _ in range(10):
+            polys = [rng.normal(scale=scale, size=length),
+                     rng.normal(size=length) * 10.0 ** rng.integers(-8, 9, size=length)]
+            for P in (pts, pts[:7, None, :], pts[3]):  # rows, a broadcast grid, one point
+                assert _same_bits(surplus._poly_val(polys, P), _npoly_val(polys, P))
+                assert _same_bits(surplus._poly_der(polys, P), _npoly_der(polys, P))
+
+
+def test_a_negative_constant_has_the_derivative_minus_zero():
+    polys = [np.array([-2.5]), np.array([0.0])]
+    pts = np.array([[-1.0, -1.0], [1.0, 1.0], [-0.0, 0.0]])
+    der = surplus._poly_der(polys, pts)
+    assert _same_bits(der, _npoly_der(polys, pts))
+    assert np.signbit(der[0, 0]) and der[0, 0] == 0.0  # -0.0 + (-1)·0
+    assert _same_bits(surplus._poly_val(polys, pts), _npoly_val(polys, pts))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BilinearSurplus(A=[[0.7, -0.2], [0.3, 1.1]], B=[[-0.3, 0.4], [0.9, 0.1]],
+                            C=[[1.1, -0.6], [0.2, 0.5]], D=[[-0.4, 0.3], [-0.1, -0.8]],
+                            f=[[1e3, 0.5, -0.3, 2e-4], [-0.2, 0.1]],
+                            g=[[-1.5, -0.2, 7.0], [0.1, 0.0, 0.0, -3e5]],
+                            h=[[0.1, 0.3], [-2.0, 0.0, 0.7, 0.0, 1e-6, -4.0]]),
+    lambda: StrictlyHedonicSurplus(
+        BilinearComponent([[1.0, 0.4], [-0.3, 0.6]], Dz=[[-1.0, 0.2], [0.1, -0.5]],
+                          f=[[-3.0, 0.3, 1e4], [0.1, -0.2]], h=[[0.5, -1.0, 2.0], [-7.0]]),
+        BilinearComponent([[0.8, -0.1], [0.5, 0.9]], f=[[2.0], [0.0, -5e-3]],
+                          h=[[1.0, 0.2], [0.4, 0.0, 0.3]])),
+])
+def test_polynomial_surplus_grids_round_as_numpy_polynomial(monkeypatch, build):
+    s = build()
+    rng = np.random.default_rng(19)
+    X, Y, Z = (rng.uniform(-3.0, 3.0, (n, 2)) for n in (5, 4, 6))
+    grid = (X[:, None, None], Y[None, :, None], Z[None, None, :])
+    got = s.value_grid(X, Y, Z), s._grad(*grid)
+    monkeypatch.setattr(surplus, "_poly_val", _npoly_val)
+    monkeypatch.setattr(surplus, "_poly_der", _npoly_der)
+    want = s.value_grid(X, Y, Z), s._grad(*grid)
+    assert _same_bits(got[0], want[0])
+    for g, w in zip(got[1], want[1]):
+        assert _same_bits(g, w)
+
+
 def test_derivative_kernels_match_scalar_methods_bitwise():
     # the diagnostics read gradients and Hessian blocks from batch and grid
     # calls; they must round exactly like the one-point methods

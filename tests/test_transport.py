@@ -211,7 +211,7 @@ def test_pivot_path_is_pinned(market, iterations, objective, sum_u, sum_v):
 
 def test_reduce_lift_just_over_the_limit_is_refused_before_allocating(monkeypatch):
     inst = random_instance(0, n=400, nz=5, family="bilinear")
-    need = reduction._reduce_bytes(400, 400, 5, 1)
+    need = reduction._reduce_bytes(400, 400, 5)
     monkeypatch.setattr(reduction, "LP_BYTES_LIMIT", need - 1)
     tracemalloc.start()
     try:
@@ -234,7 +234,7 @@ def test_reduce_lift_estimate_covers_its_peak(family):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= reduction._reduce_bytes(400, 400, *inst.z_points.shape)
+    assert peak <= reduction._reduce_bytes(400, 400, len(inst.z_points))
 
 
 def test_transport_buffer_over_the_limit_is_refused(monkeypatch):
